@@ -64,6 +64,7 @@ from .permutations import (
     longest_parabolic_element,
     reduced_word,
     rsk,
+    rsk_inverse,
     same_right_cell,
     shape,
     times_gen,

@@ -5,15 +5,18 @@ Formats (all coordinates and entries 1-based):
   permutation   [2, 1, 3]                       row-form
   composition   [2, 1]
   diagram       {"nodes": [[r, c], ...]}        row-major sorted
-  tableau       {"nodes": [...], "entries": [...]}  parallel arrays
   k-path        {"paths": [[[r, c], ...], ...]}
   rim           {"composition": [...],
                  "rim": [{"row_form": [...], "reduced_word": [...],
                           "diagram": [[r, c], ...], "special": bool}, ...],
                  "cell_size": int}
 
+Coordinates are JSON integers; floats, booleans and anything else are
+refused.
+
 Exit codes: 0 success, 1 verification mismatch or cross-check diff,
-2 malformed input or search bound exceeded.
+2 malformed input, search bound exceeded, or a verify rule with nothing to
+check.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import sys
 from typing import Any, Iterable, Sequence
 
 from .compositions import Composition, check_composition
-from .diagrams import Diagram, DTableau, is_admissible, subsequence_type
+from .diagrams import Diagram, Node, is_admissible, subsequence_type
 from .paths import KPath, order_kpath
 from .permutations import check_permutation, reduced_word
 from .rims import (
@@ -61,26 +64,27 @@ def diagram_to_json(diagram: Diagram) -> dict[str, Any]:
     return {"nodes": [[r, c] for r, c in diagram.nodes]}
 
 
+def _nodes_from_json(items: Any, what: str) -> tuple[Node, ...]:
+    """A JSON list of [r, c] integer pairs as nodes; anything else is refused."""
+    if not isinstance(items, list):
+        raise ValueError(f"{what} must be a list of [r, c] pairs, got {items!r}")
+    nodes = []
+    for item in items:
+        if not (
+            isinstance(item, list)
+            and len(item) == 2
+            and type(item[0]) is int
+            and type(item[1]) is int
+        ):
+            raise ValueError(f"{what} must hold [r, c] integer pairs, got {item!r}")
+        nodes.append((item[0], item[1]))
+    return tuple(nodes)
+
+
 def diagram_from_json(obj: Any) -> Diagram:
     if not isinstance(obj, dict) or "nodes" not in obj:
         raise ValueError('diagram JSON must be {"nodes": [[r, c], ...]}')
-    return Diagram(tuple((int(r), int(c)) for r, c in obj["nodes"]))
-
-
-def tableau_to_json(tableau: DTableau) -> dict[str, Any]:
-    return {
-        "nodes": [[r, c] for r, c in tableau.diagram.nodes],
-        "entries": list(tableau.entries),
-    }
-
-
-def tableau_from_json(obj: Any) -> DTableau:
-    if not isinstance(obj, dict) or "nodes" not in obj or "entries" not in obj:
-        raise ValueError('tableau JSON must be {"nodes": [...], "entries": [...]}')
-    return DTableau(
-        Diagram(tuple((int(r), int(c)) for r, c in obj["nodes"])),
-        tuple(int(e) for e in obj["entries"]),
-    )
+    return Diagram(_nodes_from_json(obj["nodes"], "diagram nodes"))
 
 
 def kpath_to_json(kpath: KPath) -> dict[str, Any]:
@@ -90,7 +94,9 @@ def kpath_to_json(kpath: KPath) -> dict[str, Any]:
 def kpath_from_json(obj: Any) -> KPath:
     if not isinstance(obj, dict) or "paths" not in obj:
         raise ValueError('k-path JSON must be {"paths": [[[r, c], ...], ...]}')
-    paths = tuple(tuple((int(r), int(c)) for r, c in path) for path in obj["paths"])
+    if not isinstance(obj["paths"], list):
+        raise ValueError(f"k-path paths must be a list of paths, got {obj['paths']!r}")
+    paths = tuple(_nodes_from_json(path, "a k-path path") for path in obj["paths"])
     support = {node for path in paths for node in path}
     try:
         host = Diagram(tuple(support))
@@ -246,11 +252,13 @@ def _cmd_admissible(args: argparse.Namespace, out, stdin) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
-    bound = _resolve_bound(None)
     theorems = THEOREMS if args.theorem == "all" else (args.theorem,)
+    # every rule runs before anything is printed, so a rule with nothing to
+    # check fails the command with stdout still empty
+    reports = [verify_theorem(t, args.max_n, bound=args.max_n) for t in theorems]
     all_ok = True
-    for theorem in theorems:
-        report = verify_theorem(theorem, args.max_n, bound=max(bound, args.max_n))
+    for report in reports:
+        theorem = report.theorem
         for check in report.checks:
             status = "PASS" if check.ok else f"FAIL ({check.detail})"
             print(

@@ -267,6 +267,29 @@ def rsk(w: Sequence[int]) -> tuple[Tableau, Tableau]:
     return tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
 
 
+def rsk_inverse(p: Tableau, q: Tableau) -> Perm:
+    """
+    The row-form with ``rsk`` pair (p, q), for standard tableaux of one
+    shape: reverse bumping, from the largest recording entry down.
+
+    >>> rsk_inverse(((1, 2), (3,)), ((1, 3), (2,)))
+    (3, 1, 2)
+    """
+    if [len(row) for row in p] != [len(row) for row in q]:
+        raise ValueError("insertion and recording tableaux must have the same shape")
+    p_rows = [list(row) for row in p]
+    row_of = {step: r for r, row in enumerate(q) for step in row}
+    w = [0] * len(row_of)
+    for step in range(len(w), 0, -1):
+        r = row_of[step]
+        x = p_rows[r].pop()
+        for row in reversed(p_rows[:r]):
+            j = bisect_left(row, x) - 1
+            row[j], x = x, row[j]
+        w[step - 1] = x
+    return tuple(w)
+
+
 def is_standard_young_tableau(rows: Sequence[Sequence[int]]) -> bool:
     """
     Rows and columns strictly increasing, shape weakly decreasing, entries

@@ -6,22 +6,27 @@ the associated Young subgroup consists of the products w_J * e where e runs
 over a prefix-closed set of minimal coset representatives.  The *rim* is
 the set of prefix-maximal elements of that set; knowing it gives reduced
 forms for the entire cell by concatenation.  This module finds rims two
-ways: a breadth-first search over length-increasing generator extensions,
-and closed-form constructions for the composition families where the rim
-is known explicitly.  ``verify_theorem`` diffs the two engines.
+ways: a search that enumerates Z as the Robinson-Schensted fiber of the
+recording tableau of w_J, by inverse insertion, and keeps its maximal
+elements; and closed-form constructions for the composition families where
+the rim is known explicitly.  ``verify_theorem`` diffs the two engines.
+The cell size needs neither: it is f^{λ'}, the number of standard tableaux
+of the shape of Q(w_J), by the hook-length formula.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import (
     Composition,
     check_composition,
     compositions_of,
+    conjugate,
     is_partition,
+    partial_sums,
     reverse_composition,
 )
 from .diagrams import (
@@ -29,8 +34,8 @@ from .diagrams import (
     diagram_from_element,
     is_admissible,
     is_special,
-    prefixes_of_wd,
     rotate180,
+    standard_tableaux,
     w_of_diagram,
     young_diagram,
 )
@@ -39,12 +44,12 @@ from .permutations import (
     Word,
     check_permutation,
     compose,
-    identity,
     is_coset_rep,
     length,
     longest_parabolic_element,
     reduced_word,
     rsk,
+    rsk_inverse,
     times_gen,
 )
 
@@ -129,35 +134,29 @@ def _ascents(e: Perm) -> Iterator[int]:
             yield k
 
 
-def _zone(parts: Composition, bound: int) -> list[Perm]:
+def _zone(parts: Composition, bound: int | None) -> list[Perm]:
     """
-    All of Z for the composition, by breadth-first search from the identity
-    over one-generator length-increasing extensions.  Z is prefix-closed,
-    so the search reaches everything.
+    All of Z for the composition, sorted: e = w_J v for v running over the
+    Robinson-Schensted fiber of Q(w_J), rebuilt by inverse insertion from
+    every standard tableau of shape λ'.  A shared recording tableau means a
+    shared descent set, which is J, so every e is a minimal coset
+    representative.
     """
     n = sum(parts)
+    bound = DEFAULT_SEARCH_BOUND if bound is None else bound
     if n > bound:
         raise SearchBoundExceeded(
             f"n={n} exceeds the search bound {bound}; raise the bound explicitly"
         )
     w_j = longest_parabolic_element(parts)
     q_ref = rsk(w_j)[1]
-
-    start = identity(n)
-    seen: set[Perm] = {start}
-    frontier: list[Perm] = [start]
-    while frontier:
-        grown: list[Perm] = []
-        for e in sorted(frontier):
-            for k in _ascents(e):
-                e2 = times_gen(e, k)
-                if e2 in seen or not is_coset_rep(e2, parts):
-                    continue
-                if rsk(compose(w_j, e2))[1] == q_ref:
-                    seen.add(e2)
-                    grown.append(e2)
-        frontier = grown
-    return sorted(seen)
+    shape = conjugate(parts)
+    sums = partial_sums(shape)
+    row_spans = list(zip(sums, sums[1:]))
+    return sorted(
+        compose(w_j, rsk_inverse(tuple(t.entries[lo:hi] for lo, hi in row_spans), q_ref))
+        for t in standard_tableaux(young_diagram(shape))
+    )
 
 
 def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
@@ -171,7 +170,6 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     ((2, 1, 3),)
     """
     parts = check_composition(parts)
-    bound = DEFAULT_SEARCH_BOUND if bound is None else bound
     zone = _zone(parts, bound)
     zset = set(zone)
     rim = [
@@ -182,18 +180,23 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     return _result_from_diagrams(parts, (diagram_from_element(y, parts) for y in rim))
 
 
-def _prefix_union(result: RimResult) -> set[Perm]:
-    """Z recovered from the rim: the union of the prefix sets of the rim
-    elements, read off the standard fillings of their diagrams."""
-    elements: set[Perm] = set()
-    for diagram in result.diagrams:
-        elements.update(prefixes_of_wd(diagram))
-    return elements
-
-
 def cell_size(result: RimResult) -> int:
-    """Number of elements in the cell described by a rim."""
-    return len(_prefix_union(result))
+    """
+    Number of elements in the cell described by a rim: f^{λ'}, for λ' the
+    conjugate of the sorted parts, by the Frame-Robinson-Thrall hook-length
+    formula.
+
+    >>> cell_size(rim_search((2, 1, 1)))
+    3
+    """
+    shape = conjugate(result.composition)
+    columns = conjugate(shape)
+    hooks = prod(
+        (row - j) + (columns[j] - i) - 1
+        for i, row in enumerate(shape)
+        for j in range(row)
+    )
+    return factorial(sum(shape)) // hooks
 
 
 def cell_elements(
@@ -201,18 +204,18 @@ def cell_elements(
 ) -> Iterator[tuple[Perm, Word]]:
     """
     Every element of the cell with a reduced word for it: pairs
-    (w_J e, word of w_J followed by word of e), for e running over the
-    prefix union of the rim.  Lengths add because e is a minimal coset
-    representative.  Ordered by (length, row-form) of e.
+    (w_J e, word of w_J followed by word of e), for e running over Z.
+    Lengths add because e is a minimal coset representative.  Ordered by
+    (length, row-form) of e.
 
     >>> [(w, word) for w, word in cell_elements((2, 1))]
     [((2, 1, 3), (1,)), ((3, 1, 2), (1, 2))]
     """
     parts = check_composition(parts)
-    result = rim_search(parts, bound)
+    zone = _zone(parts, bound)
     w_j = longest_parabolic_element(parts)
     w_j_word = reduced_word(w_j)
-    for e in sorted(_prefix_union(result), key=lambda p: (length(p), p)):
+    for e in sorted(zone, key=lambda p: (length(p), p)):
         yield compose(w_j, e), w_j_word + reduced_word(e)
 
 
@@ -576,7 +579,8 @@ def verify_theorem(theorem: str, max_n: int, bound: int | None = None) -> Verify
     """
     Exhaustively compare a closed-form rule against the search engine, over
     every applicable composition of every n <= max_n.  ``theorem`` is one of
-    the rule identifiers in ``THEOREMS``.
+    the rule identifiers in ``THEOREMS``.  A rule with no applicable
+    composition raises ValueError rather than pass on zero checks.
     """
     if theorem not in _CHECKERS:
         raise ValueError(f"unknown rule {theorem!r}; choose from {THEOREMS}")
@@ -584,4 +588,6 @@ def verify_theorem(theorem: str, max_n: int, bound: int | None = None) -> Verify
     if max_n > bound:
         raise SearchBoundExceeded(f"max_n={max_n} exceeds the search bound {bound}")
     checks = tuple(_CHECKERS[theorem](max_n, bound))
+    if not checks:
+        raise ValueError(f"rule {theorem} has no compositions to check at max_n={max_n}")
     return VerifyReport(theorem, checks)

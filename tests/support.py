@@ -3,7 +3,21 @@ from __future__ import annotations
 
 import random
 
-from klrim import Diagram, KPath, Node, Perm, times_gen
+from klrim import (
+    Diagram,
+    KPath,
+    Node,
+    Perm,
+    RimResult,
+    compose,
+    identity,
+    is_coset_rep,
+    longest_parabolic_element,
+    prefixes_of_wd,
+    rsk,
+    times_gen,
+)
+from klrim.rims import _ascents
 
 
 def compress_nodes(nodes) -> tuple[Node, ...]:
@@ -57,6 +71,44 @@ def brute_prefixes(w: Perm) -> set[Perm]:
                     seen.add(u)
                     stack.append(u)
     return seen
+
+
+def bfs_zone(parts) -> list[Perm]:
+    """
+    Z for the composition by breadth-first search from the identity over
+    one-generator length-increasing extensions, each candidate tested for
+    being a coset representative with the recording tableau of w_J.  Z is
+    prefix-closed, so the search reaches everything.  Independent of the
+    inverse insertion behind ``rims._zone``.
+    """
+    n = sum(parts)
+    w_j = longest_parabolic_element(parts)
+    q_ref = rsk(w_j)[1]
+
+    start = identity(n)
+    seen: set[Perm] = {start}
+    frontier: list[Perm] = [start]
+    while frontier:
+        grown: list[Perm] = []
+        for e in sorted(frontier):
+            for k in _ascents(e):
+                e2 = times_gen(e, k)
+                if e2 in seen or not is_coset_rep(e2, parts):
+                    continue
+                if rsk(compose(w_j, e2))[1] == q_ref:
+                    seen.add(e2)
+                    grown.append(e2)
+        frontier = grown
+    return sorted(seen)
+
+
+def prefix_union(result: RimResult) -> set[Perm]:
+    """Z recovered from a rim: the union of the prefix sets of the rim
+    elements, read off the standard fillings of their diagrams."""
+    elements: set[Perm] = set()
+    for diagram in result.diagrams:
+        elements.update(prefixes_of_wd(diagram))
+    return elements
 
 
 def oracle_type(profile: tuple[int, ...]) -> tuple[int, ...]:

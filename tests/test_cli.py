@@ -12,10 +12,8 @@ from klrim.cli import (
     main,
     parse_composition,
     render_diagram,
-    tableau_from_json,
-    tableau_to_json,
 )
-from klrim.diagrams import column_fill, young_diagram
+from klrim.diagrams import young_diagram
 
 
 def run(argv, stdin_text=None):
@@ -36,12 +34,31 @@ def test_parse_composition():
 def test_codecs_round_trip():
     d = young_diagram((3, 1))
     assert diagram_from_json(diagram_to_json(d)) == d
-    t = column_fill(d)
-    assert tableau_from_json(tableau_to_json(t)) == t
     kp = kpath_from_json({"paths": [[[1, 1], [2, 1]], [[1, 2]]]})
     assert kpath_to_json(kp) == {"paths": [[[1, 1], [2, 1]], [[1, 2]]]}
     with pytest.raises(ValueError):
         diagram_from_json({"rows": []})
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("admissible", {"nodes": 5}),
+        ("admissible", {"nodes": [7]}),
+        ("admissible", {"nodes": [[1.7, 1]]}),
+        ("admissible", {"nodes": [[True, 1]]}),
+        ("admissible", {"nodes": [["1", 1]]}),
+        ("admissible", {"nodes": [[1, 1, 1]]}),
+        ("order-path", {"paths": 3}),
+        ("order-path", {"paths": [3]}),
+        ("order-path", {"paths": [[[1, 1.5]]]}),
+        ("order-path", {"paths": [[[1, False]]]}),
+    ],
+)
+def test_malformed_coordinates_exit_2(command, payload, capsys):
+    assert run([command], stdin_text=json.dumps(payload)) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_render_diagram():
@@ -152,6 +169,28 @@ def test_verify_pass_and_output():
     assert code == 0
     assert "T3.15a 1,2,1: PASS" in out
     assert out.strip().endswith("PASS")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "T3.15a", "--max-n", "3"],
+        ["verify", "all", "--max-n", "0"],
+        ["verify", "all", "--max-n", "3"],
+        ["verify", "T2.16a", "--max-n", "-1"],
+    ],
+)
+def test_verify_refuses_a_rule_with_no_checks(argv, capsys):
+    assert run(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_ignores_the_search_bound_variable(monkeypatch):
+    monkeypatch.setenv("KLRIM_MAX_N", "banana")
+    code, out = run(["verify", "T3.7a", "--max-n", "4"])
+    assert code == 0
+    assert out.endswith("T3.7a: 4 compositions checked: PASS\n")
 
 
 def test_verify_detects_injected_perturbation(monkeypatch):

@@ -19,6 +19,7 @@ from klrim.permutations import (
     longest_parabolic_element,
     reduced_word,
     rsk,
+    rsk_inverse,
     same_right_cell,
     shape,
 )
@@ -171,6 +172,16 @@ def test_rsk_produces_standard_tableaux(w):
     assert is_standard_young_tableau(p)
     assert is_standard_young_tableau(q)
     assert tuple(len(r) for r in p) == tuple(len(r) for r in q)
+
+
+@given(perms)
+def test_rsk_inverse_undoes_rsk(w):
+    assert rsk_inverse(*rsk(w)) == w
+
+
+def test_rsk_inverse_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        rsk_inverse(((1, 2),), ((1,), (2,)))
 
 
 def test_is_standard_young_tableau_rejects():

@@ -43,7 +43,14 @@ from klrim.rims import (
     _zone,
 )
 
-from support import f_fixture, k_fixture, l_fixture, staircase_row_form
+from support import (
+    bfs_zone,
+    f_fixture,
+    k_fixture,
+    l_fixture,
+    prefix_union,
+    staircase_row_form,
+)
 
 
 def test_in_z_examples():
@@ -101,6 +108,29 @@ def test_zone_prefix_closed_and_rim_maximal():
                         assert not is_prefix(y1, y2)
 
 
+def test_zone_matches_the_bfs_oracle():
+    for n in range(1, 10):
+        for parts in compositions_of(n):
+            assert _zone(parts, bound=10) == bfs_zone(parts), parts
+
+
+def test_prefix_union_of_the_rim_is_the_zone():
+    for n in range(1, 9):
+        for parts in compositions_of(n):
+            assert prefix_union(rim_search(parts)) == set(_zone(parts, bound=10)), parts
+
+
+def test_cell_size_counts_the_prefix_union_of_closed_forms():
+    checked = 0
+    for n in range(1, 11):
+        for parts in compositions_of(n):
+            closed = rim_closed_form(parts)
+            if closed is not None:
+                assert len(prefix_union(closed)) == cell_size(closed), parts
+                checked += 1
+    assert checked > 200
+
+
 def test_zone_membership_matches_admissibility():
     # e belongs to the zone exactly when its canonical diagram is admissible
     for n in range(1, 8):
@@ -125,7 +155,7 @@ def test_rim_diagrams_are_admissible_and_canonical():
 
 
 def test_rotation_duality():
-    for n in range(1, 7):
+    for n in range(1, 9):
         for parts in compositions_of(n):
             result = rim_search(parts)
             reversed_result = rim_search(reverse_composition(parts))
