@@ -84,6 +84,7 @@ from .rims import (
     star_extend,
     theta_star,
     verify_theorem,
+    verify_theorems,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

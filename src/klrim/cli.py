@@ -39,7 +39,7 @@ from .rims import (
     cell_size,
     rim_closed_form,
     rim_search,
-    verify_theorem,
+    verify_theorems,
 )
 
 EXIT_OK = 0
@@ -255,22 +255,16 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     theorems = THEOREMS if args.theorem == "all" else (args.theorem,)
     # every rule runs before anything is printed, so a rule with nothing to
     # check fails the command with stdout still empty
-    reports = [verify_theorem(t, args.max_n, bound=args.max_n) for t in theorems]
-    all_ok = True
+    reports = verify_theorems(theorems, args.max_n, bound=args.max_n)
     for report in reports:
         theorem = report.theorem
         for check in report.checks:
             status = "PASS" if check.ok else f"FAIL ({check.detail})"
-            print(
-                f"{theorem} "
-                + ",".join(map(str, check.composition))
-                + f": {status}",
-                file=out,
-            )
+            parts = ",".join(map(str, check.composition))
+            print(f"{theorem} {parts}: {status}", file=out)
         summary = "PASS" if report.passed else "FAIL"
         print(f"{theorem}: {len(report.checks)} compositions checked: {summary}", file=out)
-        all_ok = all_ok and report.passed
-    return EXIT_OK if all_ok else EXIT_MISMATCH
+    return EXIT_OK if all(report.passed for report in reports) else EXIT_MISMATCH
 
 
 def build_parser() -> argparse.ArgumentParser:

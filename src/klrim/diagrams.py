@@ -194,7 +194,7 @@ def is_special(diagram: Diagram) -> bool:
     False
     """
     nodes = diagram.nodes
-    present = diagram.node_set
+    present = set(nodes)  # not the cached node_set: rims keep their diagrams
     for a, (i, j) in enumerate(nodes):
         for i2, j2 in nodes[a + 1 :]:
             if i2 != i and j2 != j and (i2, j) not in present and (i, j2) not in present:
@@ -254,7 +254,8 @@ def diagram_from_element(d: Sequence[int], parts: Iterable[int]) -> Diagram:
         prev_col, prev_row = c, r
 
     result = Diagram(tuple(nodes))
-    assert w_of_diagram(result) == d, "column reading must reproduce the input"
+    if w_of_diagram(result) != d:
+        raise RuntimeError("column reading must reproduce the input")
     return result
 
 
@@ -337,7 +338,8 @@ def complete_prefix(u: Sequence[int], diagram: Diagram) -> Word:
                 break
         else:
             raise AssertionError("standard non-final tableau must admit a raising step")
-    assert len(word) == length(target) - length(u)
+    if len(word) != length(target) - length(u):
+        raise RuntimeError("every step of the completion must raise the length by one")
     return tuple(word)
 
 

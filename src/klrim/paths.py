@@ -114,7 +114,7 @@ def _delta(nodes: Sequence[Node], row: int, default: int) -> int:
     return min(cols) if cols else default
 
 
-def right_side(nodes: Iterable[Node], host: Diagram) -> Callable[[Node], bool]:
+def right_side(nodes: Iterable[Node]) -> Callable[[Node], bool]:
     """
     Membership predicate of the region strictly right of the staircase
     profile of ``nodes``: (n, m) belongs iff m exceeds every column the set
@@ -232,7 +232,8 @@ def order_kpath(kpath: KPath, parts: int | None = None) -> KPath:
             raise ValueError(f"support has fewer than {parts} nodes")
 
     result = KPath(tuple(constituents), host=kpath.host)
-    assert is_ordered(result) and result.support == kpath.support
+    if not (is_ordered(result) and result.support == kpath.support):
+        raise RuntimeError("peeling must give an ordered k-path on the same support")
     return result
 
 
@@ -252,7 +253,8 @@ def diagram_of_ordered(kpath: KPath) -> Diagram:
     nodes = tuple((a, j) for j, path in enumerate(kpath.paths, start=1) for a, _ in path)
     result = Diagram(nodes)
     image = act(row_fill(result), w_of_diagram(kpath.host))
-    assert is_standard(image), "transported column filling must stay standard"
+    if not is_standard(image):
+        raise RuntimeError("transported column filling must stay standard")
     return result
 
 
@@ -285,7 +287,8 @@ def insert_singleton(kpath: KPath, node: Node) -> KPath:
     if sandwich:
         # two constituents of an ordered k-path can never both bracket the
         # same column position
-        assert len(sandwich) == 1
+        if len(sandwich) != 1:
+            raise RuntimeError(f"constituents {sandwich} all bracket {node}")
         j = sandwich[0]
         widened = tuple(sorted(kpath.paths[j] + (node,)))
         paths = kpath.paths[:j] + (widened,) + kpath.paths[j + 1 :]
@@ -296,7 +299,8 @@ def insert_singleton(kpath: KPath, node: Node) -> KPath:
         paths = kpath.paths[:run] + ((node,),) + kpath.paths[run:]
 
     result = KPath(paths, host=kpath.host)
-    assert is_ordered(result)
+    if not is_ordered(result):
+        raise RuntimeError(f"inserting {node} must keep the k-path ordered")
     return result
 
 
@@ -315,5 +319,6 @@ def extend_by_singletons(kpath: KPath, nodes: Iterable[Node]) -> KPath:
     result = kpath
     for node in nodes:
         result = insert_singleton(result, node)
-    assert result.k == kpath.k + len(nodes)
+    if result.k != kpath.k + len(nodes):
+        raise RuntimeError("every inserted node must add one constituent")
     return result

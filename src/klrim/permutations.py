@@ -146,9 +146,9 @@ def reduced_word(w: Sequence[int]) -> Word:
     """
     The lexicographically smallest reduced word for w.
 
-    Repeatedly peel the smallest descent off the left: if positions k, k+1
-    carry a descent then s_k * (remaining suffix) still evaluates to w, and
-    picking the smallest such k at every step produces the lex-least word.
+    Repeatedly peel the smallest descent k off the left: s_k * (remaining
+    suffix) still evaluates to w, and the smallest k gives the lex-least
+    word.  Positions left of k stay ascending, so the scan resumes at k-1.
 
     >>> reduced_word((1, 2, 3))
     ()
@@ -159,16 +159,15 @@ def reduced_word(w: Sequence[int]) -> Word:
     >>> from_generator_word(4, reduced_word((3, 1, 4, 2)))
     (3, 1, 4, 2)
     """
-    w = list(w)
-    word = []
-    while True:
-        for k in range(len(w) - 1):
-            if w[k] > w[k + 1]:
-                word.append(k + 1)
-                w[k], w[k + 1] = w[k + 1], w[k]
-                break
+    w, word, k = list(w), [], 0
+    while k < len(w) - 1:
+        if w[k] > w[k + 1]:
+            word.append(k + 1)
+            w[k], w[k + 1] = w[k + 1], w[k]
+            k = max(k - 1, 0)
         else:
-            return tuple(word)
+            k += 1
+    return tuple(word)
 
 
 def is_prefix(x: Sequence[int], y: Sequence[int]) -> bool:

@@ -6,19 +6,21 @@ the associated Young subgroup consists of the products w_J * e where e runs
 over a prefix-closed set of minimal coset representatives.  The *rim* is
 the set of prefix-maximal elements of that set; knowing it gives reduced
 forms for the entire cell by concatenation.  This module finds rims two
-ways: a search that enumerates Z as the Robinson-Schensted fiber of the
-recording tableau of w_J, by inverse insertion, and keeps its maximal
-elements; and closed-form constructions for the composition families where
-the rim is known explicitly.  ``verify_theorem`` diffs the two engines.
-The cell size needs neither: it is f^{λ'}, the number of standard tableaux
-of the shape of Q(w_J), by the hook-length formula.
+ways: a search that enumerates Z as the Robinson-Schensted fiber of Q(w_J),
+reverse-bumping each standard tableau of shape λ' as it is filled, and keeps
+the elements with no one-generator extension inside Z; and closed-form
+constructions for the composition families where the rim is known
+explicitly.  ``verify_theorems`` diffs the two engines.  The cell size
+needs neither: it is f^{λ'}, the number of standard tableaux of the shape
+of Q(w_J), by the hook-length formula.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial, prod
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .compositions import (
     Composition,
@@ -26,7 +28,6 @@ from .compositions import (
     compositions_of,
     conjugate,
     is_partition,
-    partial_sums,
     reverse_composition,
 )
 from .diagrams import (
@@ -35,7 +36,6 @@ from .diagrams import (
     is_admissible,
     is_special,
     rotate180,
-    standard_tableaux,
     w_of_diagram,
     young_diagram,
 )
@@ -44,13 +44,11 @@ from .permutations import (
     Word,
     check_permutation,
     compose,
+    inverse,
     is_coset_rep,
-    length,
     longest_parabolic_element,
     reduced_word,
     rsk,
-    rsk_inverse,
-    times_gen,
 )
 
 DEFAULT_SEARCH_BOUND = 10
@@ -124,23 +122,13 @@ def in_z(e: Sequence[int], parts: Iterable[int]) -> bool:
     return rsk(compose(w_j, e))[1] == rsk(w_j)[1]
 
 
-def _ascents(e: Perm) -> Iterator[int]:
-    """Generators k with l(e s_k) = l(e) + 1, i.e. value k left of k+1."""
-    pos = [0] * (len(e) + 1)
-    for i, v in enumerate(e):
-        pos[v] = i
-    for k in range(1, len(e)):
-        if pos[k] < pos[k + 1]:
-            yield k
-
-
 def _zone(parts: Composition, bound: int | None) -> list[Perm]:
     """
-    All of Z for the composition, sorted: e = w_J v for v running over the
-    Robinson-Schensted fiber of Q(w_J), rebuilt by inverse insertion from
-    every standard tableau of shape λ'.  A shared recording tableau means a
-    shared descent set, which is J, so every e is a minimal coset
-    representative.
+    All of Z, sorted: e = w_J v for v in the Robinson-Schensted fiber of
+    Q(w_J).  Every standard tableau P of shape λ' is reverse-bumped as soon
+    as it is filled, along a plan read off Q(w_J): per step, largest first,
+    its row of Q and its slot w_J(step) of e, w_J being an involution.  Q(w_J)
+    has descent set J, so every e is a minimal coset representative.
     """
     n = sum(parts)
     bound = DEFAULT_SEARCH_BOUND if bound is None else bound
@@ -149,14 +137,32 @@ def _zone(parts: Composition, bound: int | None) -> list[Perm]:
             f"n={n} exceeds the search bound {bound}; raise the bound explicitly"
         )
     w_j = longest_parabolic_element(parts)
-    q_ref = rsk(w_j)[1]
     shape = conjugate(parts)
-    sums = partial_sums(shape)
-    row_spans = list(zip(sums, sums[1:]))
-    return sorted(
-        compose(w_j, rsk_inverse(tuple(t.entries[lo:hi] for lo, hi in row_spans), q_ref))
-        for t in standard_tableaux(young_diagram(shape))
-    )
+    row_of = {s: r for r, row in enumerate(rsk(w_j)[1]) for s in row}
+    plan = [(row_of[s], w_j[s - 1] - 1) for s in range(n, 0, -1)]
+    rows: list[list[int]] = [[] for _ in shape]
+    zone: list[Perm] = []
+
+    def fill(entry: int) -> None:
+        if entry > n:
+            p, e = [row[:] for row in rows], [0] * n
+            for r, slot in plan:
+                x = p[r].pop()
+                for above in range(r - 1, -1, -1):
+                    row = p[above]
+                    j = bisect_left(row, x) - 1
+                    row[j], x = x, row[j]
+                e[slot] = x
+            zone.append(tuple(e))
+            return
+        for r, row in enumerate(rows):
+            if len(row) < shape[r] and (r == 0 or len(row) < len(rows[r - 1])):
+                row.append(entry)
+                fill(entry + 1)
+                row.pop()
+
+    fill(1)
+    return sorted(zone)
 
 
 def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
@@ -172,11 +178,18 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     parts = check_composition(parts)
     zone = _zone(parts, bound)
     zset = set(zone)
-    rim = [
-        e
-        for e in zone
-        if not any(times_gen(e, k) in zset for k in _ascents(e))
-    ]
+    rim = []
+    for e in zone:
+        at, scratch = inverse(e), list(e)
+        for k in range(1, len(e)):
+            i, j = at[k - 1] - 1, at[k] - 1
+            if i < j:  # e s_k swaps the values k and k+1 and is one longer
+                scratch[i], scratch[j] = k + 1, k
+                if tuple(scratch) in zset:
+                    break
+                scratch[i], scratch[j] = k, k + 1
+        else:
+            rim.append(e)
     return _result_from_diagrams(parts, (diagram_from_element(y, parts) for y in rim))
 
 
@@ -215,8 +228,9 @@ def cell_elements(
     zone = _zone(parts, bound)
     w_j = longest_parabolic_element(parts)
     w_j_word = reduced_word(w_j)
-    for e in sorted(zone, key=lambda p: (length(p), p)):
-        yield compose(w_j, e), w_j_word + reduced_word(e)
+    ranked = sorted((len(word), e, word) for e, word in zip(zone, map(reduced_word, zone)))
+    for _, e, word in ranked:
+        yield compose(w_j, e), w_j_word + word
 
 
 def star_extend(diagram: Diagram) -> Diagram:
@@ -252,7 +266,8 @@ def theta_star(result: RimResult) -> RimResult:
     extended = _result_from_diagrams(
         result.composition + (1,), (star_extend(d) for d in result.diagrams)
     )
-    assert extended.rim_size == result.rim_size
+    if extended.rim_size != result.rim_size:
+        raise RuntimeError("theta_star must carry the rim bijectively")
     return extended
 
 
@@ -419,6 +434,9 @@ def rim_closed_form(parts: Iterable[int]) -> RimResult | None:
 # ---------------------------------------------------------------------------
 # verification harness
 
+if TYPE_CHECKING:  # for type checkers only: typing's cache would keep RimResult alive
+    Search = Callable[[Composition], RimResult]
+
 
 @dataclass(frozen=True)
 class TheoremCheck:
@@ -441,50 +459,36 @@ class VerifyReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def _diff_detail(found: RimResult, diagrams: Sequence[Diagram]) -> str:
+def _check_family(
+    found: RimResult, diagrams: Sequence[Diagram], count: int, special: int
+) -> TheoremCheck:
+    """Compare a searched rim against a predicted one, given by its diagrams,
+    its size and its number of special diagrams."""
     expected = {d.nodes for d in diagrams}
     actual = {d.nodes for d in found.diagrams}
-    if expected == actual:
-        return "ok"
-    return f"expected diagrams {sorted(expected)} but search found {sorted(actual)}"
+    ok = expected == actual and set(found.rim) == {w_of_diagram(d) for d in diagrams}
+    detail = "ok"
+    if expected != actual:
+        detail = f"expected diagrams {sorted(expected)} but search found {sorted(actual)}"
+    if ok and found.rim_size != count:
+        ok, detail = False, f"rim size {found.rim_size}, predicted {count}"
+    if ok and found.special_count != special:
+        ok, detail = False, f"special count {found.special_count}, predicted {special}"
+    return TheoremCheck(found.composition, ok, detail)
 
 
-def _check_family(
-    parts: Composition,
-    diagrams: Sequence[Diagram],
-    bound: int,
-    expect_count: int | None = None,
-    expect_special: int | None = None,
-) -> TheoremCheck:
-    """Compare a predicted rim (given by diagrams) against the search."""
-    found = rim_search(parts, bound)
-    predicted = _result_from_diagrams(parts, diagrams)
-    ok = set(found.rim) == set(predicted.rim) and set(found.diagrams) == set(
-        predicted.diagrams
-    )
-    detail = _diff_detail(found, diagrams)
-    if ok and expect_count is not None and found.rim_size != expect_count:
-        ok, detail = False, f"rim size {found.rim_size}, predicted {expect_count}"
-    if ok and expect_special is not None and found.special_count != expect_special:
-        ok, detail = (
-            False,
-            f"special count {found.special_count}, predicted {expect_special}",
-        )
-    return TheoremCheck(parts, ok, detail)
-
-
-def _checks_single_element(max_n: int, bound: int) -> Iterator[TheoremCheck]:
+def _checks_single_element(max_n: int, search: Search) -> Iterator[TheoremCheck]:
     # rims with exactly one element <=> sorted or reverse-sorted parts
     for n in range(1, max_n + 1):
         for parts in compositions_of(n):
-            single = rim_search(parts, bound).rim_size == 1
+            single = search(parts).rim_size == 1
             predicted = is_partition(parts) or is_partition(reverse_composition(parts))
             ok = single == predicted
             detail = "ok" if ok else f"rim size 1: {single}, predicted {predicted}"
             yield TheoremCheck(parts, ok, detail)
 
 
-def _checks_two_big_parts(max_n: int, bound: int) -> Iterator[TheoremCheck]:
+def _checks_two_big_parts(max_n: int, search: Search) -> Iterator[TheoremCheck]:
     # compositions (a, b, 1, ..., 1) with at least three parts
     for n in range(4, max_n + 1):
         for rows in range(3, n):
@@ -493,75 +497,48 @@ def _checks_two_big_parts(max_n: int, bound: int) -> Iterator[TheoremCheck]:
                 b = head - a
                 parts = (a, b) + (1,) * (rows - 2)
                 if a >= b:
-                    diagrams = [young_diagram(parts)]
-                    count = 1
+                    yield _check_family(search(parts), [young_diagram(parts)], 1, 1)
                 else:
-                    diagrams = [
-                        _d_tsu_diagram(a, b, u, rows) for u in range(1, b - a + 2)
-                    ]
-                    count = b - a + 1
-                yield _check_family(
-                    parts, diagrams, bound, expect_count=count, expect_special=count
-                )
+                    diagrams = [_d_tsu_diagram(a, b, u, rows) for u in range(1, b - a + 2)]
+                    yield _check_family(search(parts), diagrams, b - a + 1, b - a + 1)
 
 
-def _checks_three_parts(max_n: int, bound: int) -> Iterator[TheoremCheck]:
+def _checks_three_parts(max_n: int, search: Search) -> Iterator[TheoremCheck]:
     for n in range(3, max_n + 1):
         for parts in compositions_of(n):
-            if len(parts) != 3:
-                continue
-            count = _three_part_count(parts)
-            yield _check_family(
-                parts,
-                _three_part_diagrams(parts),
-                bound,
-                expect_count=count,
-                expect_special=count,
-            )
+            if len(parts) == 3:
+                count = _three_part_count(parts)
+                yield _check_family(search(parts), _three_part_diagrams(parts), count, count)
 
 
-def _checks_staircase_base(max_n: int, bound: int) -> Iterator[TheoremCheck]:
+def _checks_staircase_base(max_n: int, search: Search) -> Iterator[TheoremCheck]:
     for rows in range(3, max_n // 2 + 2):
         if 2 * rows - 2 > max_n:
             break
         parts = (1,) + (2,) * (rows - 2) + (1,)
         diagrams = [_p_diagram(rows, v) for v in range(rows - 1)]
-        yield _check_family(
-            parts, diagrams, bound, expect_count=rows - 1, expect_special=2
-        )
+        yield _check_family(search(parts), diagrams, rows - 1, 2)
 
 
-def _checks_staircase_general(max_n: int, bound: int) -> Iterator[TheoremCheck]:
+def _checks_staircase_general(max_n: int, search: Search) -> Iterator[TheoremCheck]:
     for n in range(4, max_n + 1):
         for parts in compositions_of(n):
             match = _match_staircase(parts)
-            if match is None:
-                continue
-            a, rows, b = match
-            yield _check_family(
-                parts,
-                _staircase_diagrams(a, rows, b),
-                bound,
-                expect_count=rows - 1,
-                expect_special=2,
-            )
+            if match is not None:
+                diagrams = _staircase_diagrams(*match)
+                yield _check_family(search(parts), diagrams, match[1] - 1, 2)
 
 
-def _checks_append_part(max_n: int, bound: int) -> Iterator[TheoremCheck]:
+def _checks_append_part(max_n: int, search: Search) -> Iterator[TheoremCheck]:
     # appending a part 1 carries the rim onto the rim of the longer composition
     for n in range(1, max_n):
         for parts in compositions_of(n):
             if parts[-1] != 1:
                 continue
-            extended = theta_star(rim_search(parts, bound))
-            direct = rim_search(parts + (1,), bound)
-            ok = (
-                extended.rim == direct.rim
-                and extended.diagrams == direct.diagrams
-            )
-            detail = "ok" if ok else (
-                f"extension rim {extended.rim} vs direct rim {direct.rim}"
-            )
+            extended = theta_star(search(parts))
+            direct = search(parts + (1,))
+            ok = extended.rim == direct.rim and extended.diagrams == direct.diagrams
+            detail = "ok" if ok else f"extension rim {extended.rim} vs direct rim {direct.rim}"
             yield TheoremCheck(parts, ok, detail)
 
 
@@ -575,19 +552,38 @@ _CHECKERS = {
 }
 
 
-def verify_theorem(theorem: str, max_n: int, bound: int | None = None) -> VerifyReport:
+def verify_theorems(
+    theorems: Sequence[str], max_n: int, bound: int | None = None
+) -> list[VerifyReport]:
     """
-    Exhaustively compare a closed-form rule against the search engine, over
-    every applicable composition of every n <= max_n.  ``theorem`` is one of
-    the rule identifiers in ``THEOREMS``.  A rule with no applicable
+    Exhaustively compare closed-form rules, each one of the identifiers in
+    ``THEOREMS``, against the search engine, over every applicable
+    composition of every n <= max_n.  Each composition is searched once per
+    call, however many rules check it.  A rule with no applicable
     composition raises ValueError rather than pass on zero checks.
     """
-    if theorem not in _CHECKERS:
-        raise ValueError(f"unknown rule {theorem!r}; choose from {THEOREMS}")
+    for theorem in theorems:
+        if theorem not in _CHECKERS:
+            raise ValueError(f"unknown rule {theorem!r}; choose from {THEOREMS}")
     bound = DEFAULT_SEARCH_BOUND if bound is None else bound
     if max_n > bound:
         raise SearchBoundExceeded(f"max_n={max_n} exceeds the search bound {bound}")
-    checks = tuple(_CHECKERS[theorem](max_n, bound))
-    if not checks:
-        raise ValueError(f"rule {theorem} has no compositions to check at max_n={max_n}")
-    return VerifyReport(theorem, checks)
+    searched: dict[Composition, RimResult] = {}
+
+    def search(parts: Composition) -> RimResult:
+        if parts not in searched:
+            searched[parts] = rim_search(parts, bound)
+        return searched[parts]
+
+    reports = []
+    for theorem in theorems:
+        checks = tuple(_CHECKERS[theorem](max_n, search))
+        if not checks:
+            raise ValueError(f"rule {theorem} has no compositions to check at max_n={max_n}")
+        reports.append(VerifyReport(theorem, checks))
+    return reports
+
+
+def verify_theorem(theorem: str, max_n: int, bound: int | None = None) -> VerifyReport:
+    """``verify_theorems`` for one rule."""
+    return verify_theorems((theorem,), max_n, bound)[0]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from klrim import (
     Diagram,
@@ -10,14 +11,18 @@ from klrim import (
     Perm,
     RimResult,
     compose,
+    conjugate,
     identity,
     is_coset_rep,
     longest_parabolic_element,
+    partial_sums,
     prefixes_of_wd,
     rsk,
+    rsk_inverse,
+    standard_tableaux,
     times_gen,
+    young_diagram,
 )
-from klrim.rims import _ascents
 
 
 def compress_nodes(nodes) -> tuple[Node, ...]:
@@ -73,6 +78,27 @@ def brute_prefixes(w: Perm) -> set[Perm]:
     return seen
 
 
+def ascents(e: Perm) -> list[int]:
+    """Generators k with l(e s_k) = l(e) + 1, i.e. value k left of k+1."""
+    return [k for k in range(1, len(e)) if e.index(k) < e.index(k + 1)]
+
+
+def restart_reduced_word(w: Perm) -> tuple[int, ...]:
+    """The lex-least reduced word by rescanning from the left after every
+    swap of the smallest descent: O(n l(w)), the reference for
+    ``reduced_word``."""
+    w = list(w)
+    word = []
+    while True:
+        for k in range(len(w) - 1):
+            if w[k] > w[k + 1]:
+                word.append(k + 1)
+                w[k], w[k + 1] = w[k + 1], w[k]
+                break
+        else:
+            return tuple(word)
+
+
 def bfs_zone(parts) -> list[Perm]:
     """
     Z for the composition by breadth-first search from the identity over
@@ -91,7 +117,7 @@ def bfs_zone(parts) -> list[Perm]:
     while frontier:
         grown: list[Perm] = []
         for e in sorted(frontier):
-            for k in _ascents(e):
+            for k in ascents(e):
                 e2 = times_gen(e, k)
                 if e2 in seen or not is_coset_rep(e2, parts):
                     continue
@@ -100,6 +126,41 @@ def bfs_zone(parts) -> list[Perm]:
                     grown.append(e2)
         frontier = grown
     return sorted(seen)
+
+
+def inverse_insertion_zone(parts) -> list[Perm]:
+    """
+    Z for the composition, sorted, as w_J * rsk_inverse(P, Q(w_J)) for P
+    running over the standard tableaux of shape λ' from
+    ``standard_tableaux``: the validated primitives one call per element,
+    the reference for the fused kernel behind ``rims._zone``.
+    """
+    w_j = longest_parabolic_element(parts)
+    q_ref = rsk(w_j)[1]
+    shape = conjugate(parts)
+    sums = partial_sums(shape)
+    spans = list(zip(sums, sums[1:]))
+    return sorted(
+        compose(w_j, rsk_inverse(tuple(t.entries[lo:hi] for lo, hi in spans), q_ref))
+        for t in standard_tableaux(young_diagram(shape))
+    )
+
+
+def coset_reps(parts) -> list[Perm]:
+    """
+    The minimal coset representatives for the composition, generated
+    directly: their row-forms increase inside every block of positions, so
+    they are the ordered set partitions of 1..n into blocks of the given
+    sizes, each block written in increasing order.
+    """
+    reps: list[Perm] = [()]
+    for size in parts:
+        reps = [
+            rep + block
+            for rep in reps
+            for block in combinations(sorted(set(range(1, sum(parts) + 1)) - set(rep)), size)
+        ]
+    return reps
 
 
 def prefix_union(result: RimResult) -> set[Perm]:

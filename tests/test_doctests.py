@@ -1,6 +1,8 @@
-"""Run the examples in the docstrings of every klrim module."""
+"""Checks over every klrim module: docstring examples, no bare asserts."""
+import ast
 import doctest
 import importlib
+import inspect
 import pkgutil
 
 import klrim
@@ -14,3 +16,12 @@ def test_docstring_examples():
         assert result.failed == 0, info.name
         attempted += result.attempted
     assert attempted > 0
+
+
+def test_invariants_survive_optimized_mode():
+    # python -O strips assert statements, so invariants must raise explicitly
+    for info in pkgutil.iter_modules(klrim.__path__):
+        module = importlib.import_module(f"klrim.{info.name}")
+        tree = ast.parse(inspect.getsource(module))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert asserts == [], (info.name, asserts)

@@ -93,7 +93,7 @@ def test_left_right_side_equivalence():
         d = random_diagram(rng)
         first, second = _random_subsets(rng, d)
         in_left = left_side(second, d)
-        in_right = right_side(first, d)
+        in_right = right_side(first)
         expected = precedes(first, second)
         assert all(in_left(node) for node in first) == expected
         assert all(in_right(node) for node in second) == expected
@@ -101,7 +101,7 @@ def test_left_right_side_equivalence():
 
 def test_side_defaults():
     d = young_diagram((2, 2))
-    assert right_side({(1, 1)}, d)((1, 2))
+    assert right_side({(1, 1)})((1, 2))
     assert left_side({(2, 2)}, d)((1, 1))
     # rows past the set: the left side extends to one past the host's columns
     assert left_side({(1, 1)}, d)((2, 2))

@@ -25,6 +25,8 @@ from klrim.permutations import (
 )
 from klrim.compositions import compositions_of
 
+from support import restart_reduced_word
+
 perms = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
 )
@@ -100,6 +102,15 @@ def _all_reduced_words(w):
 def test_reduced_word_is_lexicographically_least(n):
     for w in everything(n):
         assert reduced_word(w) == min(_all_reduced_words(w))
+
+
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.permutations(range(1, n + 1)).map(tuple)
+    )
+)
+def test_reduced_word_matches_the_restarting_scan(w):
+    assert reduced_word(w) == restart_reduced_word(w)
 
 
 def test_prefix_examples():

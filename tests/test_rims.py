@@ -1,8 +1,8 @@
-from itertools import permutations as all_permutations
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
+from klrim import rims
 from klrim.compositions import compositions_of, is_partition, reverse_composition
 from klrim.diagrams import (
     Diagram,
@@ -22,8 +22,10 @@ from klrim.permutations import (
     is_prefix,
     length,
     longest_element,
+    longest_parabolic_element,
 )
 from klrim.rims import (
+    THEOREMS,
     RimResult,
     SearchBoundExceeded,
     cell_elements,
@@ -34,6 +36,7 @@ from klrim.rims import (
     star_extend,
     theta_star,
     verify_theorem,
+    verify_theorems,
     _d_tsu_diagram,
     _g_diagram,
     _h_diagram,
@@ -45,10 +48,13 @@ from klrim.rims import (
 
 from support import (
     bfs_zone,
+    coset_reps,
     f_fixture,
+    inverse_insertion_zone,
     k_fixture,
     l_fixture,
     prefix_union,
+    restart_reduced_word,
     staircase_row_form,
 )
 
@@ -114,6 +120,12 @@ def test_zone_matches_the_bfs_oracle():
             assert _zone(parts, bound=10) == bfs_zone(parts), parts
 
 
+def test_zone_matches_inverse_insertion_of_every_tableau():
+    for n in range(1, 10):
+        for parts in compositions_of(n):
+            assert _zone(parts, bound=10) == inverse_insertion_zone(parts), parts
+
+
 def test_prefix_union_of_the_rim_is_the_zone():
     for n in range(1, 9):
         for parts in compositions_of(n):
@@ -132,15 +144,17 @@ def test_cell_size_counts_the_prefix_union_of_closed_forms():
 
 
 def test_zone_membership_matches_admissibility():
-    # e belongs to the zone exactly when its canonical diagram is admissible
+    # every permutation is either no coset representative, and then outside
+    # the zone, or one of the generated representatives (diagram_from_element
+    # refuses anything else), and then in the zone exactly when its
+    # canonical diagram is admissible
     for n in range(1, 8):
         for parts in compositions_of(n):
             zone = set(_zone(parts, bound=10))
-            for e in all_permutations(range(1, n + 1)):
-                e = tuple(e)
-                if not is_coset_rep(e, parts):
-                    assert e not in zone
-                    continue
+            assert all(is_coset_rep(e, parts) for e in zone)
+            reps = coset_reps(parts)
+            assert len(set(reps)) == len(reps) == factorial(n) // prod(map(factorial, parts))
+            for e in reps:
                 assert (e in zone) == is_admissible(diagram_from_element(e, parts))
 
 
@@ -304,6 +318,18 @@ def test_cell_words_are_reduced_and_cell_size_cross_checks():
                 assert len(word) == length(w)
 
 
+def test_cell_elements_are_ordered_by_length_then_row_form():
+    for n in range(1, 9):
+        for parts in compositions_of(n):
+            w_j = longest_parabolic_element(parts)
+            zone = sorted(_zone(parts, bound=10), key=lambda e: (length(e), e))
+            expected = [
+                (compose(w_j, e), restart_reduced_word(w_j) + restart_reduced_word(e))
+                for e in zone
+            ]
+            assert list(cell_elements(parts)) == expected, parts
+
+
 def test_search_bound():
     with pytest.raises(SearchBoundExceeded):
         rim_search((2,) * 6)
@@ -324,3 +350,22 @@ def test_verify_theorem_reports():
         verify_theorem("T9.99", max_n=5)
     with pytest.raises(SearchBoundExceeded):
         verify_theorem("T2.16a", max_n=11)
+
+
+def test_verify_theorems_searches_each_composition_once_per_call(monkeypatch):
+    searched = []
+    real_search = rims.rim_search
+
+    def counting_search(parts, bound=None):
+        searched.append(parts)
+        return real_search(parts, bound)
+
+    monkeypatch.setattr(rims, "rim_search", counting_search)
+    reports = verify_theorems(THEOREMS, max_n=6)
+    assert len(searched) == len(set(searched)) == sum(2 ** (n - 1) for n in range(1, 7))
+    searched.clear()
+    # one rule per call searches afresh: nothing is kept between calls
+    assert reports == [verify_theorem(t, max_n=6) for t in THEOREMS]
+    assert len(searched) > len(set(searched))
+    with pytest.raises(ValueError):
+        verify_theorems(("T2.16a", "T9.99"), max_n=5)
