@@ -27,7 +27,7 @@ def show(parts):
     print(f"  longest parabolic element w_J = {list(w_j)}, word {list(reduced_word(w_j))}")
 
     result = rim_search(parts)
-    print(f"  rim size {result.rim_size}, cell size {cell_size(result)}")
+    print(f"  rim size {result.rim_size}, cell size {cell_size(result.composition)}")
     for y, diagram, special in zip(result.rim, result.diagrams, result.special):
         tag = "special" if special else "not special"
         print(f"  rim element {list(y)}  word {list(reduced_word(y))}  ({tag})")

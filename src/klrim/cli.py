@@ -37,6 +37,7 @@ from .rims import (
     THEOREMS,
     cell_elements,
     cell_size,
+    check_search_bound,
     rim_closed_form,
     rim_search,
     verify_theorems,
@@ -117,7 +118,7 @@ def rim_result_to_json(result: RimResult) -> dict[str, Any]:
             }
             for y, d, special in zip(result.rim, result.diagrams, result.special)
         ],
-        "cell_size": cell_size(result),
+        "cell_size": cell_size(result.composition),
     }
 
 
@@ -143,7 +144,7 @@ def render_rim_text(result: RimResult) -> str:
     lines = [
         "composition: " + ",".join(map(str, result.composition)),
         f"rim size: {result.rim_size}",
-        f"cell size: {cell_size(result)}",
+        f"cell size: {cell_size(result.composition)}",
     ]
     for y, d, special in zip(result.rim, result.diagrams, result.special):
         lines.append(f"y = {list(y)}")
@@ -206,16 +207,22 @@ def _cmd_cell(args: argparse.Namespace, out) -> int:
     parts = parse_composition(args.composition)
     bound = _resolve_bound(args.max_n)
     if args.count_only:
-        print(cell_size(rim_search(parts, bound)), file=out)
+        check_search_bound(parts, bound)
+        print(cell_size(parts), file=out)
         return EXIT_OK
-    for w, word in cell_elements(parts, bound):
-        if args.format == "json":
-            print(
-                json.dumps({"row_form": list(w), "reduced_word": list(word)}),
-                file=out,
+    elements = cell_elements(parts, bound)
+    if args.format == "json":
+        # each line is joined by hand from the decimal strings of 0..n: the
+        # bytes json.dumps gives, at a fraction of its cost
+        text = [str(k) for k in range(sum(parts) + 1)].__getitem__
+        for w, word in elements:
+            out.write(
+                '{"row_form": [' + ", ".join(map(text, w))
+                + '], "reduced_word": [' + ", ".join(map(text, word)) + "]}\n"
             )
-        else:
-            print(f"{list(w)}  word: {_render_word(word)}", file=out)
+    else:
+        for w, word in elements:
+            out.write(f"{list(w)}  word: {_render_word(word)}\n")
     return EXIT_OK
 
 

@@ -6,19 +6,26 @@ the associated Young subgroup consists of the products w_J * e where e runs
 over a prefix-closed set of minimal coset representatives.  The *rim* is
 the set of prefix-maximal elements of that set; knowing it gives reduced
 forms for the entire cell by concatenation.  This module finds rims two
-ways: a search that enumerates Z as the Robinson-Schensted fiber of Q(w_J),
-reverse-bumping each standard tableau of shape λ' as it is filled, and keeps
-the elements with no one-generator extension inside Z; and closed-form
-constructions for the composition families where the rim is known
-explicitly.  ``verify_theorems`` diffs the two engines.  The cell size
-needs neither: it is f^{λ'}, the number of standard tableaux of the shape
-of Q(w_J), by the hook-length formula.
+ways: a search that enumerates Z and keeps the elements with no
+one-generator extension inside Z; and closed-form constructions for the
+composition families where the rim is known explicitly.
+``verify_theorems`` diffs the two engines.
+
+Z comes from the Robinson-Schensted fiber {v : Q(v) = Q(w_J)}, whose
+elements are the inverses of the u with P(u) = Q(w_J) (Schützenberger's
+symmetry P(v^-1) = Q(v)).  One depth-first search reverse-bumps the fixed
+tableau Q(w_J), a corner at a time, and each ejected value writes one
+entry of v = w_J e, of e, and of the code vector of e, whose entries count
+the inversions ending at each position of e.  The code gives l(e) and the
+lex-least reduced word of e, so ``cell_elements`` needs no per-element
+word or product.  The cell size needs no search: it is f^{λ'}, the number
+of standard tableaux of the shape of Q(w_J), by the hook-length formula.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, factorial, prod
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -122,13 +129,10 @@ def in_z(e: Sequence[int], parts: Iterable[int]) -> bool:
     return rsk(compose(w_j, e))[1] == rsk(w_j)[1]
 
 
-def _zone(parts: Composition, bound: int | None) -> list[Perm]:
+def check_search_bound(parts: Composition, bound: int | None) -> int:
     """
-    All of Z, sorted: e = w_J v for v in the Robinson-Schensted fiber of
-    Q(w_J).  Every standard tableau P of shape λ' is reverse-bumped as soon
-    as it is filled, along a plan read off Q(w_J): per step, largest first,
-    its row of Q and its slot w_J(step) of e, w_J being an involution.  Q(w_J)
-    has descent set J, so every e is a minimal coset representative.
+    n for the composition, after refusing an n past ``bound`` (by default
+    ``DEFAULT_SEARCH_BOUND``) with SearchBoundExceeded.
     """
     n = sum(parts)
     bound = DEFAULT_SEARCH_BOUND if bound is None else bound
@@ -136,33 +140,76 @@ def _zone(parts: Composition, bound: int | None) -> list[Perm]:
         raise SearchBoundExceeded(
             f"n={n} exceeds the search bound {bound}; raise the bound explicitly"
         )
+    return n
+
+
+def _zone(
+    parts: Composition, bound: int | None
+) -> list[tuple[int, Perm, Perm, tuple[Word, ...]]]:
+    """
+    Every element e of Z, in search order, as (l(e), e, w_J e, runs): the
+    reduced word of e is the concatenation of ``runs``.
+
+    The fiber {v : Q(v) = Q(w_J)} holds the inverses of {u : P(u) = Q(w_J)},
+    so one depth-first search reverse-bumps the fixed tableau Q(w_J): at
+    step s = n, ..., 1 it pops a corner of the remaining shape, and the
+    corners chosen run over the standard tableaux of shape λ'.  Tableaux
+    sharing their largest entries share those bumps, and backtracking
+    undoes a bump by inserting the ejected value again; a shape of two
+    cells has one corner, so the last two steps are written out.  The value
+    x ejected at step s writes v(x) = s and e(w_J(x)) = s, w_J being an
+    involution.  The entries of e are written largest first, so the code
+    vector of e, c_i = #{j < i : e_j > e_i}, counts the positions left of i
+    already written; l(e) is its sum, and the lex-least reduced word of e,
+    the one ``reduced_word`` returns, is the concatenation of the runs
+    (i, i-1, ..., i-c_i+1) over positions i counted from 0.  Q(w_J) has
+    descent set J, so every e is a minimal coset representative.
+    """
+    n = check_search_bound(parts, bound)
+    if n == 1:
+        return [(0, (1,), (1,), ((),))]
     w_j = longest_parabolic_element(parts)
-    shape = conjugate(parts)
-    row_of = {s: r for r, row in enumerate(rsk(w_j)[1]) for s in row}
-    plan = [(row_of[s], w_j[s - 1] - 1) for s in range(n, 0, -1)]
-    rows: list[list[int]] = [[] for _ in shape]
-    zone: list[Perm] = []
+    # values run 0..n-1 here, so the value x ejected at step s writes v[x]
+    p = [[x - 1 for x in row] for row in rsk(w_j)[1]] + [[]]  # [] closes the shape
+    rows = range(len(p) - 1)
+    slot = [x - 1 for x in w_j]
+    left = [(1 << i) - 1 for i in range(n)]
+    run_of = [[tuple(range(i, i - c, -1)) for c in range(i + 1)] for i in range(n)]
+    e, v, runs = [0] * n, [0] * n, [()] * n
+    zone = []
 
-    def fill(entry: int) -> None:
-        if entry > n:
-            p, e = [row[:] for row in rows], [0] * n
-            for r, slot in plan:
-                x = p[r].pop()
-                for above in range(r - 1, -1, -1):
-                    row = p[above]
-                    j = bisect_left(row, x) - 1
-                    row[j], x = x, row[j]
-                e[slot] = x
-            zone.append(tuple(e))
+    def remove(s: int, filled: int, length: int) -> None:
+        if s == 2:  # one corner left at each of the last two steps
+            x, y = p[0][-1], (p[1] or p[0])[0]
+            i, k = slot[x], slot[y]
+            c = (filled & left[i]).bit_count()
+            e[i], v[x], runs[i] = 2, 2, run_of[i][c]
+            e[k], v[y], runs[k] = 1, 1, run_of[k][k]  # all of e left of k is written
+            zone.append((length + c + k, tuple(e), tuple(v), tuple(runs)))
             return
-        for r, row in enumerate(rows):
-            if len(row) < shape[r] and (r == 0 or len(row) < len(rows[r - 1])):
-                row.append(entry)
-                fill(entry + 1)
-                row.pop()
+        for r in rows:
+            row = p[r]
+            if len(row) > len(p[r + 1]):
+                x = row.pop()
+                for above in range(r - 1, -1, -1):
+                    up = p[above]
+                    j = bisect_left(up, x) - 1
+                    up[j], x = x, up[j]
+                i = slot[x]
+                c = (filled & left[i]).bit_count()
+                e[i], v[x], runs[i] = s, s, run_of[i][c]
+                remove(s - 1, filled | 1 << i, length + c)
+                for above in range(r):
+                    up = p[above]
+                    j = bisect_left(up, x)
+                    up[j], x = x, up[j]
+                row.append(x)
 
-    fill(1)
-    return sorted(zone)
+    remove(n, 0, 0)
+    # remove's closure holds remove itself; unbinding it breaks that cycle,
+    # so Z is freed by its last reader, not by a later cyclic collection
+    del remove
+    return zone
 
 
 def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
@@ -176,7 +223,7 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     ((2, 1, 3),)
     """
     parts = check_composition(parts)
-    zone = _zone(parts, bound)
+    zone = [e for _, e, _, _ in _zone(parts, bound)]
     zset = set(zone)
     rim = []
     for e in zone:
@@ -193,16 +240,16 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     return _result_from_diagrams(parts, (diagram_from_element(y, parts) for y in rim))
 
 
-def cell_size(result: RimResult) -> int:
+def cell_size(parts: Iterable[int]) -> int:
     """
-    Number of elements in the cell described by a rim: f^{λ'}, for λ' the
-    conjugate of the sorted parts, by the Frame-Robinson-Thrall hook-length
-    formula.
+    Number of elements in the cell of the composition, which is also the
+    size of Z: f^{λ'}, for λ' the conjugate of the sorted parts, by the
+    Frame-Robinson-Thrall hook-length formula.
 
-    >>> cell_size(rim_search((2, 1, 1)))
+    >>> cell_size((2, 1, 1))
     3
     """
-    shape = conjugate(result.composition)
+    shape = conjugate(check_composition(parts))
     columns = conjugate(shape)
     hooks = prod(
         (row - j) + (columns[j] - i) - 1
@@ -219,18 +266,19 @@ def cell_elements(
     Every element of the cell with a reduced word for it: pairs
     (w_J e, word of w_J followed by word of e), for e running over Z.
     Lengths add because e is a minimal coset representative.  Ordered by
-    (length, row-form) of e.
+    (length, row-form) of e.  The search behind Z records w_J e, l(e) and
+    the word of e, the lex-least one that ``reduced_word`` gives, read off
+    the code vector of e; only w_J's word comes from ``reduced_word``.
 
     >>> [(w, word) for w, word in cell_elements((2, 1))]
     [((2, 1, 3), (1,)), ((3, 1, 2), (1, 2))]
     """
     parts = check_composition(parts)
     zone = _zone(parts, bound)
-    w_j = longest_parabolic_element(parts)
-    w_j_word = reduced_word(w_j)
-    ranked = sorted((len(word), e, word) for e, word in zip(zone, map(reduced_word, zone)))
-    for _, e, word in ranked:
-        yield compose(w_j, e), w_j_word + word
+    zone.sort()  # by (l(e), e); e never repeats, so nothing further is compared
+    w_j_word = reduced_word(longest_parabolic_element(parts))
+    for _, _, w, runs in zone:
+        yield w, w_j_word + tuple(chain.from_iterable(runs))
 
 
 def star_extend(diagram: Diagram) -> Diagram:
@@ -266,7 +314,7 @@ def theta_star(result: RimResult) -> RimResult:
     extended = _result_from_diagrams(
         result.composition + (1,), (star_extend(d) for d in result.diagrams)
     )
-    if extended.rim_size != result.rim_size:
+    if len(set(extended.rim)) != result.rim_size:
         raise RuntimeError("theta_star must carry the rim bijectively")
     return extended
 

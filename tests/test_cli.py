@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -13,7 +14,15 @@ from klrim.cli import (
     parse_composition,
     render_diagram,
 )
+from klrim.compositions import compositions_of
 from klrim.diagrams import young_diagram
+
+# sha256 of the stdout of `klrim cell --format <format>`, concatenated over
+# every composition of n = 1..8 in compositions_of order
+CELL_DIGESTS = {
+    "json": "38fedd6af3211666246511c92c69e3e9e3eeb9bf49ed000cbbc3775a65ad2e5b",
+    "text": "8656851cf1e27a005e8d986105f367f3bc14b48453359244e110afbe608fbec6",
+}
 
 
 def run(argv, stdin_text=None):
@@ -53,6 +62,8 @@ def test_codecs_round_trip():
         ("order-path", {"paths": [3]}),
         ("order-path", {"paths": [[[1, 1.5]]]}),
         ("order-path", {"paths": [[[1, False]]]}),
+        ("admissible", {"nodes": [[1, 10**12]]}),
+        ("admissible", {"nodes": [[10**12, 1]]}),
     ],
 )
 def test_malformed_coordinates_exit_2(command, payload, capsys):
@@ -113,6 +124,31 @@ def test_cell_stream_and_count():
         {"row_form": [3, 1, 2], "reduced_word": [1, 2]},
     ]
     assert run(["cell", "--composition", "2,1", "--count-only"]) == (0, "2\n")
+
+
+@pytest.mark.parametrize("fmt", sorted(CELL_DIGESTS))
+def test_cell_output_is_pinned_byte_for_byte(fmt):
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for parts in compositions_of(n):
+            text = ",".join(map(str, parts))
+            code, out = run(["cell", "--composition", text, "--format", fmt])
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == CELL_DIGESTS[fmt]
+
+
+def test_cell_count_only_counts_the_streamed_elements(capsys):
+    for n in range(1, 9):
+        for parts in compositions_of(n):
+            text = ",".join(map(str, parts))
+            lines = run(["cell", "--composition", text, "--format", "json"])[1].count("\n")
+            assert run(["cell", "--composition", text, "--count-only"]) == (0, f"{lines}\n")
+    capsys.readouterr()
+    assert run(["cell", "--composition", "2,2,2", "--count-only", "--max-n", "5"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: n=6 exceeds the search bound 5; raise the bound explicitly\n"
+    )
 
 
 def test_order_path_round_trip():

@@ -90,10 +90,15 @@ def test_rim_search_examples():
     assert result.rim_size == 2
 
 
+def zone_of(parts):
+    """Z as a sorted list of row-forms."""
+    return sorted(e for _, e, _, _ in _zone(parts, bound=10))
+
+
 def test_zone_prefix_closed_and_rim_maximal():
     for n in range(1, 8):
         for parts in compositions_of(n):
-            zone = set(_zone(parts, bound=10))
+            zone = set(zone_of(parts))
             for e in zone:
                 pos = {v: i for i, v in enumerate(e)}
                 for k in range(1, n):
@@ -117,19 +122,28 @@ def test_zone_prefix_closed_and_rim_maximal():
 def test_zone_matches_the_bfs_oracle():
     for n in range(1, 10):
         for parts in compositions_of(n):
-            assert _zone(parts, bound=10) == bfs_zone(parts), parts
+            assert zone_of(parts) == bfs_zone(parts), parts
 
 
 def test_zone_matches_inverse_insertion_of_every_tableau():
     for n in range(1, 10):
         for parts in compositions_of(n):
-            assert _zone(parts, bound=10) == inverse_insertion_zone(parts), parts
+            assert zone_of(parts) == inverse_insertion_zone(parts), parts
+
+
+def test_zone_records_length_cell_element_and_word():
+    for n in range(1, 9):
+        for parts in compositions_of(n):
+            w_j = longest_parabolic_element(parts)
+            for ell, e, w, runs in _zone(parts, bound=10):
+                word = tuple(k for run in runs for k in run)
+                assert (ell, w, word) == (length(e), compose(w_j, e), restart_reduced_word(e))
 
 
 def test_prefix_union_of_the_rim_is_the_zone():
     for n in range(1, 9):
         for parts in compositions_of(n):
-            assert prefix_union(rim_search(parts)) == set(_zone(parts, bound=10)), parts
+            assert prefix_union(rim_search(parts)) == set(zone_of(parts)), parts
 
 
 def test_cell_size_counts_the_prefix_union_of_closed_forms():
@@ -138,7 +152,7 @@ def test_cell_size_counts_the_prefix_union_of_closed_forms():
         for parts in compositions_of(n):
             closed = rim_closed_form(parts)
             if closed is not None:
-                assert len(prefix_union(closed)) == cell_size(closed), parts
+                assert len(prefix_union(closed)) == cell_size(closed.composition), parts
                 checked += 1
     assert checked > 200
 
@@ -150,7 +164,7 @@ def test_zone_membership_matches_admissibility():
     # canonical diagram is admissible
     for n in range(1, 8):
         for parts in compositions_of(n):
-            zone = set(_zone(parts, bound=10))
+            zone = set(zone_of(parts))
             assert all(is_coset_rep(e, parts) for e in zone)
             reps = coset_reps(parts)
             assert len(set(reps)) == len(reps) == factorial(n) // prod(map(factorial, parts))
@@ -201,6 +215,15 @@ def test_theta_star_matches_direct_search():
             assert extended.diagrams == direct.diagrams
     with pytest.raises(ValueError):
         theta_star(rim_search((1, 2)))
+
+
+def test_theta_star_refuses_an_extension_that_merges_rim_diagrams(monkeypatch):
+    result = rim_search((1, 2, 1))
+    assert result.rim_size == 2
+    merged = star_extend(result.diagrams[0])
+    monkeypatch.setattr(rims, "star_extend", lambda diagram: merged)
+    with pytest.raises(RuntimeError):
+        theta_star(result)
 
 
 def test_closed_form_matches_search_everywhere():
@@ -311,8 +334,8 @@ def test_cell_words_are_reduced_and_cell_size_cross_checks():
     for n in range(1, 6):
         for parts in compositions_of(n):
             result = rim_search(parts)
-            zone = _zone(parts, bound=10)
-            assert cell_size(result) == len(zone)
+            zone = zone_of(parts)
+            assert cell_size(parts) == len(zone)
             for w, word in cell_elements(parts):
                 assert from_generator_word(n, word) == w
                 assert len(word) == length(w)
@@ -322,7 +345,7 @@ def test_cell_elements_are_ordered_by_length_then_row_form():
     for n in range(1, 9):
         for parts in compositions_of(n):
             w_j = longest_parabolic_element(parts)
-            zone = sorted(_zone(parts, bound=10), key=lambda e: (length(e), e))
+            zone = sorted(zone_of(parts), key=lambda e: (length(e), e))
             expected = [
                 (compose(w_j, e), restart_reduced_word(w_j) + restart_reduced_word(e))
                 for e in zone
