@@ -206,19 +206,20 @@ def _cmd_rim(args: argparse.Namespace, out) -> int:
 def _cmd_cell(args: argparse.Namespace, out) -> int:
     parts = parse_composition(args.composition)
     bound = _resolve_bound(args.max_n)
+    # checked before any work for every output: cell_elements is a generator
+    # and checks only once it is first advanced
+    check_search_bound(parts, bound)
     if args.count_only:
-        check_search_bound(parts, bound)
         print(cell_size(parts), file=out)
         return EXIT_OK
     elements = cell_elements(parts, bound)
     if args.format == "json":
-        # each line is joined by hand from the decimal strings of 0..n: the
-        # bytes json.dumps gives, at a fraction of its cost
-        text = [str(k) for k in range(sum(parts) + 1)].__getitem__
+        # each line is joined by hand: the bytes json.dumps gives, at a
+        # fraction of its cost
         for w, word in elements:
             out.write(
-                '{"row_form": [' + ", ".join(map(text, w))
-                + '], "reduced_word": [' + ", ".join(map(text, word)) + "]}\n"
+                '{"row_form": [' + ", ".join(map(str, w))
+                + '], "reduced_word": [' + ", ".join(map(str, word)) + "]}\n"
             )
     else:
         for w, word in elements:

@@ -155,9 +155,8 @@ def _zone(
     step s = n, ..., 1 it pops a corner of the remaining shape, and the
     corners chosen run over the standard tableaux of shape λ'.  Tableaux
     sharing their largest entries share those bumps, and backtracking
-    undoes a bump by inserting the ejected value again; a shape of two
-    cells has one corner, so the last two steps are written out.  The value
-    x ejected at step s writes v(x) = s and e(w_J(x)) = s, w_J being an
+    undoes a bump by inserting the ejected value again.  The value x
+    ejected at step s writes v(x) = s and e(w_J(x)) = s, w_J being an
     involution.  The entries of e are written largest first, so the code
     vector of e, c_i = #{j < i : e_j > e_i}, counts the positions left of i
     already written; l(e) is its sum, and the lex-least reduced word of e,
@@ -166,8 +165,6 @@ def _zone(
     descent set J, so every e is a minimal coset representative.
     """
     n = check_search_bound(parts, bound)
-    if n == 1:
-        return [(0, (1,), (1,), ((),))]
     w_j = longest_parabolic_element(parts)
     # values run 0..n-1 here, so the value x ejected at step s writes v[x]
     p = [[x - 1 for x in row] for row in rsk(w_j)[1]] + [[]]  # [] closes the shape
@@ -179,13 +176,8 @@ def _zone(
     zone = []
 
     def remove(s: int, filled: int, length: int) -> None:
-        if s == 2:  # one corner left at each of the last two steps
-            x, y = p[0][-1], (p[1] or p[0])[0]
-            i, k = slot[x], slot[y]
-            c = (filled & left[i]).bit_count()
-            e[i], v[x], runs[i] = 2, 2, run_of[i][c]
-            e[k], v[y], runs[k] = 1, 1, run_of[k][k]  # all of e left of k is written
-            zone.append((length + c + k, tuple(e), tuple(v), tuple(runs)))
+        if s == 0:
+            zone.append((length, tuple(e), tuple(v), tuple(runs)))
             return
         for r in rows:
             row = p[r]

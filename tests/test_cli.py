@@ -151,6 +151,15 @@ def test_cell_count_only_counts_the_streamed_elements(capsys):
     )
 
 
+@pytest.mark.parametrize("output", [["--format", "json"], ["--format", "text"], ["--count-only"]])
+def test_cell_refuses_a_huge_composition_before_any_work(output, capsys):
+    argv = ["cell", "--composition", "1000000000", "--max-n", "8"] + output
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: n=1000000000 exceeds the search bound 8; raise the bound explicitly\n"
+    )
+
+
 def test_order_path_round_trip():
     seven = {
         "paths": [
