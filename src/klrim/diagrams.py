@@ -235,7 +235,15 @@ def diagram_from_element(d: Sequence[int], parts: Iterable[int]) -> Diagram:
         raise ValueError(f"composition {parts} does not sum to n={len(d)}")
     if not is_coset_rep(d, parts):
         raise ValueError(f"{d} is not a minimal coset representative for {parts}")
+    return _diagram_from_element(d, parts)
 
+
+def _diagram_from_element(d: Perm, parts: Composition) -> Diagram:
+    """
+    ``diagram_from_element`` without validating its input, for coset
+    representatives a search has just produced; the column reading is still
+    checked against d.
+    """
     sums = partial_sums(parts)
     row_of = [0] * (len(d) + 1)
     for r, (lo, hi) in enumerate(zip(sums, sums[1:]), start=1):

@@ -6,20 +6,23 @@ the associated Young subgroup consists of the products w_J * e where e runs
 over a prefix-closed set of minimal coset representatives.  The *rim* is
 the set of prefix-maximal elements of that set; knowing it gives reduced
 forms for the entire cell by concatenation.  This module finds rims two
-ways: a search that enumerates Z and keeps the elements with no
-one-generator extension inside Z; and closed-form constructions for the
-composition families where the rim is known explicitly.
-``verify_theorems`` diffs the two engines.
+ways: a search for the elements of Z with no one-generator extension
+inside Z; and closed-form constructions for the composition families where
+the rim is known explicitly.  ``verify_theorems`` diffs the two engines.
 
 Z comes from the Robinson-Schensted fiber {v : Q(v) = Q(w_J)}, whose
 elements are the inverses of the u with P(u) = Q(w_J) (Schützenberger's
-symmetry P(v^-1) = Q(v)).  One depth-first search reverse-bumps the fixed
+symmetry P(v^-1) = Q(v)).  A depth-first search reverse-bumps the fixed
 tableau Q(w_J), a corner at a time, and each ejected value writes one
-entry of v = w_J e, of e, and of the code vector of e, whose entries count
-the inversions ending at each position of e.  The code gives l(e) and the
-lex-least reduced word of e, so ``cell_elements`` needs no per-element
-word or product.  The cell size needs no search: it is f^{λ'}, the number
-of standard tableaux of the shape of Q(w_J), by the hook-length formula.
+entry of v = w_J e and of e.  ``cell_elements`` walks all of the fiber and
+also writes the code vector of e, whose entries count the inversions
+ending at each position of e; the code gives l(e) and the lex-least
+reduced word of e, so no per-element word or product is needed.
+``rim_search`` walks the same fiber but cuts every subtree whose elements
+a dual Knuth move shows to have an extension inside Z, and tests only the
+leaves that survive exactly; it never holds Z.  The cell size needs no
+search: it is f^{λ'}, the number of standard tableaux of the shape of
+Q(w_J), by the hook-length formula.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from .compositions import (
 )
 from .diagrams import (
     Diagram,
-    diagram_from_element,
+    _diagram_from_element,
     is_admissible,
     is_special,
     rotate180,
@@ -51,7 +54,6 @@ from .permutations import (
     Word,
     check_permutation,
     compose,
-    inverse,
     is_coset_rep,
     longest_parabolic_element,
     reduced_word,
@@ -143,6 +145,18 @@ def check_search_bound(parts: Composition, bound: int | None) -> int:
     return n
 
 
+def _fiber_start(parts: Composition) -> tuple[list[list[int]], list[int]]:
+    """
+    Where both fiber searches start: the rows of Q(w_J) with the values
+    0..n-1, closed by an empty row so that every row has one below it, and
+    the table slot[x] = w_J(x+1) - 1.  The value x that a search ejects at
+    step s writes v[x] = s and e[slot[x]] = s, w_J being an involution.
+    """
+    w_j = longest_parabolic_element(parts)
+    rows = [[x - 1 for x in row] for row in rsk(w_j)[1]]
+    return rows + [[]], [x - 1 for x in w_j]
+
+
 def _zone(
     parts: Composition, bound: int | None
 ) -> list[tuple[int, Perm, Perm, tuple[Word, ...]]]:
@@ -165,11 +179,8 @@ def _zone(
     descent set J, so every e is a minimal coset representative.
     """
     n = check_search_bound(parts, bound)
-    w_j = longest_parabolic_element(parts)
-    # values run 0..n-1 here, so the value x ejected at step s writes v[x]
-    p = [[x - 1 for x in row] for row in rsk(w_j)[1]] + [[]]  # [] closes the shape
+    p, slot = _fiber_start(parts)
     rows = range(len(p) - 1)
-    slot = [x - 1 for x in w_j]
     left = [(1 << i) - 1 for i in range(n)]
     run_of = [[tuple(range(i, i - c, -1)) for c in range(i + 1)] for i in range(n)]
     e, v, runs = [0] * n, [0] * n, [()] * n
@@ -206,8 +217,22 @@ def _zone(
 
 def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     """
-    Compute the rim by exhaustive search: the elements of Z admitting no
-    length-increasing generator extension inside Z.
+    Compute the rim by search: the elements e of Z admitting no
+    length-increasing generator extension e s_k inside Z.
+
+    The search reverse-bumps Q(w_J) a corner at a time, as ``_zone`` does,
+    and records where each value stands: the value x ejected at step s is
+    the position of s in v = w_J e, and slot[x] its position in e.  Right
+    multiplication by s_k swaps the values k and k+1 in e and in v, and
+    lengthens e exactly when k stands left of k+1 in e.  When k-1 or k+2
+    stands strictly between k and k+1 in v, that swap is a dual Knuth move,
+    which keeps the recording tableau (Knuth 1970; Haiman 1992), so e s_k
+    lies in Z.  Once step s places the value s, this test for k = s+1
+    depends only on values already placed, so it holds for every element
+    below and the subtree is cut; k = 1 is tested at the leaf.  The test is
+    sufficient but not necessary (v = (1, 4, 2, 5, 3), k = 1 keeps Q(v)
+    without a witness), so each ascent k of a surviving leaf is tested
+    exactly: Q(v s_k) == Q(w_J).  Only the survivors are kept, never Z.
 
     >>> rim_search((2, 1)).rim
     ((1, 3, 2),)
@@ -215,21 +240,61 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     ((2, 1, 3),)
     """
     parts = check_composition(parts)
-    zone = [e for _, e, _, _ in _zone(parts, bound)]
-    zset = set(zone)
+    n = check_search_bound(parts, bound)
+    p, slot = _fiber_start(parts)
+    q = tuple(tuple(x + 1 for x in row) for row in p[:-1])
+    rows = range(len(p) - 1)
+    # where the values 0..n+1 stand in v and in e; 0 and n+1 stand nowhere,
+    # so they are never between two positions
+    in_v, in_e = [-1] * (n + 2), [-1] * (n + 2)
+    e, v = [0] * n, [0] * n
     rim = []
-    for e in zone:
-        at, scratch = inverse(e), list(e)
-        for k in range(1, len(e)):
-            i, j = at[k - 1] - 1, at[k] - 1
-            if i < j:  # e s_k swaps the values k and k+1 and is one longer
-                scratch[i], scratch[j] = k + 1, k
-                if tuple(scratch) in zset:
-                    break
-                scratch[i], scratch[j] = k, k + 1
-        else:
-            rim.append(e)
-    return _result_from_diagrams(parts, (diagram_from_element(y, parts) for y in rim))
+
+    def extends(k: int) -> bool:
+        # k is an ascent of e, and k-1 or k+2 witnesses Q(v s_k) = Q(v)
+        if k >= n or in_e[k] > in_e[k + 1]:
+            return False
+        a, b = in_v[k], in_v[k + 1]
+        if a > b:
+            a, b = b, a
+        return a < in_v[k - 1] < b or a < in_v[k + 2] < b
+
+    def remove(s: int) -> None:
+        if s == 0:
+            if extends(1):
+                return
+            for k in range(1, n):
+                if in_e[k] < in_e[k + 1]:
+                    a, b = in_v[k], in_v[k + 1]
+                    v[a], v[b] = k + 1, k
+                    same = rsk(v)[1] == q
+                    v[a], v[b] = k, k + 1
+                    if same:
+                        return
+            rim.append(tuple(e))
+            return
+        for r in rows:
+            row = p[r]
+            if len(row) > len(p[r + 1]):
+                x = row.pop()
+                for above in range(r - 1, -1, -1):
+                    up = p[above]
+                    j = bisect_left(up, x) - 1
+                    up[j], x = x, up[j]
+                i = slot[x]
+                in_v[s], in_e[s], v[x], e[i] = x, i, s, s
+                if not extends(s + 1):
+                    remove(s - 1)
+                for above in range(r):
+                    up = p[above]
+                    j = bisect_left(up, x)
+                    up[j], x = x, up[j]
+                row.append(x)
+
+    remove(n)
+    del remove  # break the closure cycle, as in _zone
+    diagrams = tuple(_diagram_from_element(y, parts) for y in rim)
+    return RimResult(parts, tuple(rim), diagrams, tuple(map(is_special, diagrams)))
 
 
 def cell_size(parts: Iterable[int]) -> int:

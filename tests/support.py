@@ -12,8 +12,11 @@ from klrim import (
     RimResult,
     compose,
     conjugate,
+    diagram_from_element,
     identity,
+    inverse,
     is_coset_rep,
+    is_special,
     longest_parabolic_element,
     partial_sums,
     prefixes_of_wd,
@@ -21,8 +24,10 @@ from klrim import (
     rsk_inverse,
     standard_tableaux,
     times_gen,
+    w_of_diagram,
     young_diagram,
 )
+from klrim.rims import _zone
 
 
 def compress_nodes(nodes) -> tuple[Node, ...]:
@@ -143,6 +148,36 @@ def inverse_insertion_zone(parts) -> list[Perm]:
     return sorted(
         compose(w_j, rsk_inverse(tuple(t.entries[lo:hi] for lo, hi in spans), q_ref))
         for t in standard_tableaux(young_diagram(shape))
+    )
+
+
+def full_zone_rim(parts) -> RimResult:
+    """
+    The rim by filtering all of Z: the elements e of ``rims._zone`` such
+    that no ascent k puts e s_k in Z, each probe a lookup in a set of Z,
+    with the rim rebuilt from its diagrams.  The reference for the pruned
+    search in ``rim_search``, which never holds Z.
+    """
+    zone = [e for _, e, _, _ in _zone(parts, sum(parts))]
+    zset = set(zone)
+    rim = []
+    for e in zone:
+        at, scratch = inverse(e), list(e)
+        for k in range(1, len(e)):
+            i, j = at[k - 1] - 1, at[k] - 1
+            if i < j:  # e s_k swaps the values k and k+1 and is one longer
+                scratch[i], scratch[j] = k + 1, k
+                if tuple(scratch) in zset:
+                    break
+                scratch[i], scratch[j] = k, k + 1
+        else:
+            rim.append(e)
+    diagrams = tuple(diagram_from_element(y, parts) for y in rim)
+    return RimResult(
+        tuple(parts),
+        tuple(w_of_diagram(d) for d in diagrams),
+        diagrams,
+        tuple(is_special(d) for d in diagrams),
     )
 
 

@@ -1,6 +1,8 @@
+import hashlib
 from math import comb, factorial, prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from klrim import rims
 from klrim.compositions import compositions_of, is_partition, reverse_composition
@@ -23,6 +25,7 @@ from klrim.permutations import (
     length,
     longest_element,
     longest_parabolic_element,
+    rsk,
 )
 from klrim.rims import (
     THEOREMS,
@@ -50,6 +53,7 @@ from support import (
     bfs_zone,
     coset_reps,
     f_fixture,
+    full_zone_rim,
     inverse_insertion_zone,
     k_fixture,
     l_fixture,
@@ -88,6 +92,48 @@ def test_rim_search_examples():
     result = rim_search((1, 2, 1))
     assert result.rim == ((1, 2, 4, 3), (2, 1, 3, 4))
     assert result.rim_size == 2
+
+
+def test_pruned_rim_search_matches_the_full_zone_filter():
+    for n in range(1, 11):
+        for parts in compositions_of(n):
+            assert rim_search(parts) == full_zone_rim(parts), parts
+
+
+def test_rim_search_past_the_default_bound_is_pinned():
+    # sha256 of the rim, its diagrams and flags as the full-Z filter gives
+    # them from 416,988 elements of Z; the pruned search visits 3351 leaves
+    result = rim_search((3, 1, 2, 4, 1, 3, 2), bound=16)
+    assert (result.rim_size, result.special_count) == (107, 24)
+    nodes = tuple(d.nodes for d in result.diagrams)
+    digest = hashlib.sha256(repr((result.rim, nodes, result.special)).encode())
+    assert digest.hexdigest() == (
+        "43e2724369253671cf80f355f2a40eed7d35c90c9dba579ac8e97651698888d2"
+    )
+
+
+def swap_values(v, k):
+    return tuple(k + 1 if x == k else k if x == k + 1 else x for x in v)
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_a_dual_knuth_witness_keeps_the_recording_tableau(v):
+    # the rule rim_search cuts by: k-1 or k+2 strictly between k and k+1
+    at = {x: i for i, x in enumerate(v)}
+    q = rsk(v)[1]
+    for k in range(1, len(v)):
+        lo, hi = sorted((at[k], at[k + 1]))
+        if any(lo < at.get(w, -1) < hi for w in (k - 1, k + 2)):
+            assert rsk(swap_values(v, k))[1] == q, (v, k)
+
+
+def test_the_witness_rule_misses_some_recording_preserving_swaps():
+    # no witness for k = 1 (3 stands right of both 1 and 2), yet Q is kept:
+    # this is why rim_search tests each surviving leaf exactly
+    v = (1, 4, 2, 5, 3)
+    assert not v.index(1) < v.index(3) < v.index(2)
+    assert swap_values(v, 1) == (2, 4, 1, 5, 3)
+    assert rsk(swap_values(v, 1))[1] == rsk(v)[1]
 
 
 def zone_of(parts):
