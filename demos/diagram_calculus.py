@@ -7,7 +7,7 @@ permutation carrying the first to the second is the diagram's `w`.  The
 standard fillings of the diagram biject with the weak-order prefixes of
 that permutation, and the diagram's subsequence type (the profile of
 maximal k disjoint path covers) equals the Robinson-Schensted shape of a
-shifted version of `w` — here cross-checked against exhaustive search.
+shifted version of `w`.
 
 Run:  python3 demos/diagram_calculus.py
 """
@@ -15,7 +15,6 @@ import random
 
 from klrim import (
     Diagram,
-    brute_force_kpath_max,
     column_fill,
     complete_prefix,
     conjugate,
@@ -64,8 +63,6 @@ if __name__ == "__main__":
         print(f"   {list(u)}  completes to w via {' '.join(map(str, word)) or '(nothing)'}")
     print()
 
-    profile = [brute_force_kpath_max(d, k) for k in range(1, d.size + 1)]
-    print(f"max nodes covered by k disjoint paths, k = 1..{d.size}: {profile}")
     print(f"subsequence type via insertion shape: {subsequence_type(d)}")
     print(f"conjugate of the row composition:     {conjugate(d.row_composition)}")
     print()

@@ -19,7 +19,6 @@ from .diagrams import (
     DTableau,
     Node,
     act,
-    brute_force_kpath_max,
     column_fill,
     complete_prefix,
     diagram_from_element,
@@ -55,7 +54,6 @@ from .permutations import (
     from_generator_word,
     identity,
     inverse,
-    inversion_set,
     is_coset_rep,
     is_prefix,
     is_standard_young_tableau,
@@ -65,9 +63,7 @@ from .permutations import (
     reduced_word,
     rsk,
     rsk_inverse,
-    same_right_cell,
     shape,
-    times_gen,
 )
 from .rims import (
     DEFAULT_SEARCH_BOUND,
@@ -78,7 +74,6 @@ from .rims import (
     VerifyReport,
     cell_elements,
     cell_size,
-    in_z,
     rim_closed_form,
     rim_search,
     star_extend,

@@ -356,7 +356,7 @@ def main(argv: Sequence[str] | None = None, stdin=None, stdout=None) -> int:
             return _cmd_admissible(args, out, source)
         if args.command == "verify":
             return _cmd_verify(args, out)
-        raise AssertionError(f"unhandled command {args.command}")
+        raise RuntimeError(f"unhandled command {args.command}")
     except (SearchBoundExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,6 +8,7 @@ convention used for permutation row-forms and diagram coordinates.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 Composition = tuple[int, ...]
@@ -47,7 +48,7 @@ def is_partition(parts: Iterable[int]) -> bool:
 
 def check_partition(parts: Iterable[int]) -> Composition:
     parts = check_composition(parts)
-    if not is_partition(parts):
+    if any(a < b for a, b in zip(parts, parts[1:])):
         raise ValueError(f"parts are not weakly decreasing: {parts}")
     return parts
 
@@ -69,11 +70,7 @@ def partial_sums(parts: Iterable[int]) -> Composition:
     >>> partial_sums((2, 1))
     (0, 2, 3)
     """
-    parts = check_composition(parts)
-    sums = [0]
-    for p in parts:
-        sums.append(sums[-1] + p)
-    return tuple(sums)
+    return (0, *accumulate(check_composition(parts)))
 
 
 def conjugate(parts: Iterable[int]) -> Composition:

@@ -35,9 +35,6 @@ from .permutations import (
 
 Node = tuple[int, int]
 
-# subset DP over node masks; past ~20 nodes use the RSK route instead
-BRUTE_FORCE_NODE_LIMIT = 20
-
 
 @dataclass(frozen=True)
 class Diagram:
@@ -127,9 +124,6 @@ class DTableau:
     def node_of_entry(self) -> dict[int, Node]:
         return {e: node for node, e in zip(self.diagram.nodes, self.entries)}
 
-    def entry_at(self, node: Node) -> int:
-        return self.entries[self.diagram.nodes.index(node)]
-
 
 def row_fill(diagram: Diagram) -> DTableau:
     """Fill the nodes with 1..n by rows (top to bottom, left to right)."""
@@ -138,11 +132,7 @@ def row_fill(diagram: Diagram) -> DTableau:
 
 def column_fill(diagram: Diagram) -> DTableau:
     """Fill the nodes with 1..n by columns (left to right, top to bottom)."""
-    by_column = sorted(range(diagram.size), key=lambda i: (diagram.nodes[i][1], diagram.nodes[i][0]))
-    entries = [0] * diagram.size
-    for e, i in enumerate(by_column, start=1):
-        entries[i] = e
-    return DTableau(diagram, tuple(entries))
+    return DTableau(diagram, w_of_diagram(diagram))
 
 
 def w_of_diagram(diagram: Diagram) -> Perm:
@@ -150,12 +140,18 @@ def w_of_diagram(diagram: Diagram) -> Perm:
     The permutation w with ``act(row_fill(D), w) == column_fill(D)``.
 
     Because the row filling is the identity labelling, the row-form of w is
-    just the column filling read in row-major order.
+    just the column filling read in row-major order: entry i is the rank of
+    node i when the nodes are sorted by (column, row).
 
     >>> w_of_diagram(young_diagram((2, 1)))
     (1, 3, 2)
     """
-    return tuple(column_fill(diagram).entries)
+    nodes = diagram.nodes
+    by_column = sorted(range(len(nodes)), key=lambda i: nodes[i][::-1])
+    w = [0] * len(nodes)
+    for e, i in enumerate(by_column, start=1):
+        w[i] = e
+    return tuple(w)
 
 
 def act(tableau: DTableau, w: Sequence[int]) -> DTableau:
@@ -190,18 +186,21 @@ def is_special(diagram: Diagram) -> bool:
     for any two nodes (i, j), (i', j') in distinct rows and columns, one of
     the crossing positions (i', j), (i, j') is also a node.
 
+    Both crossing positions are missing exactly when the column sets of rows
+    i and i' are incomparable, so the diagram is special exactly when the
+    rows' column sets, sorted by size, each lie inside the next.
+
     >>> is_special(young_diagram((2, 2, 1)))
     True
     >>> is_special(Diagram(((1, 2), (2, 1))))
     False
     """
-    nodes = diagram.nodes
-    present = set(nodes)  # not the cached node_set: rims keep their diagrams
-    for a, (i, j) in enumerate(nodes):
-        for i2, j2 in nodes[a + 1 :]:
-            if i2 != i and j2 != j and (i2, j) not in present and (i, j2) not in present:
-                return False
-    return True
+    # each row's column set as a bitmask; the last node's row is the row count
+    rows = [0] * diagram.nodes[-1][0]
+    for r, c in diagram.nodes:
+        rows[r - 1] |= 1 << c
+    rows.sort(key=int.bit_count)
+    return all(a & b == a for a, b in zip(rows, rows[1:]))
 
 
 def rotate180(diagram: Diagram) -> Diagram:
@@ -231,8 +230,7 @@ def diagram_from_element(d: Sequence[int], parts: Iterable[int]) -> Diagram:
     """
     d = check_permutation(d)
     parts = check_composition(parts)
-    if sum(parts) != len(d):
-        raise ValueError(f"composition {parts} does not sum to n={len(d)}")
+    # is_coset_rep also refuses parts that do not sum to n
     if not is_coset_rep(d, parts):
         raise ValueError(f"{d} is not a minimal coset representative for {parts}")
     return _diagram_from_element(d, parts)
@@ -347,7 +345,7 @@ def complete_prefix(u: Sequence[int], diagram: Diagram) -> Word:
                 word.append(k)
                 break
         else:
-            raise AssertionError("standard non-final tableau must admit a raising step")
+            raise RuntimeError("standard non-final tableau must admit a raising step")
     if len(word) != length(target) - length(u):
         raise RuntimeError("every step of the completion must raise the length by one")
     return tuple(word)
@@ -379,69 +377,3 @@ def is_admissible(diagram: Diagram) -> bool:
     False
     """
     return subsequence_type(diagram) == conjugate(diagram.row_composition)
-
-
-def _chain_union_profile(diagram: Diagram) -> tuple[int, ...]:
-    """
-    Exhaustive oracle: entry k-1 is the maximum size of a node subset that
-    can be covered by at most k disjoint paths.
-
-    A path is a chain of the strict order (a, b) < (a', b') iff a < a' and
-    b <= b', so by Dilworth's theorem a subset is coverable by k paths iff
-    it has no antichain of size k+1.  Maximum antichains are maximum
-    independent sets of the incomparability graph, computed for every node
-    subset by one bottom-up DP over bitmasks.
-    """
-    nodes = diagram.nodes
-    n = len(nodes)
-    if n > BRUTE_FORCE_NODE_LIMIT:
-        raise ValueError(f"brute-force oracle limited to {BRUTE_FORCE_NODE_LIMIT} nodes")
-
-    def comparable(a: Node, b: Node) -> bool:
-        return (a[0] < b[0] and a[1] <= b[1]) or (b[0] < a[0] and b[1] <= a[1])
-
-    incompat = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and not comparable(nodes[i], nodes[j]):
-                incompat[i] |= 1 << j
-
-    # max_antichain[mask] = size of the largest antichain inside mask
-    size = 1 << n
-    max_antichain = [0] * size
-    for mask in range(1, size):
-        low = (mask & -mask).bit_length() - 1
-        skip = max_antichain[mask ^ (1 << low)]
-        take = 1 + max_antichain[mask & incompat[low]]
-        max_antichain[mask] = take if take > skip else skip
-
-    best_by_cover = [0] * (n + 1)
-    for mask in range(size):
-        c = max_antichain[mask]
-        pc = mask.bit_count()
-        if pc > best_by_cover[c]:
-            best_by_cover[c] = pc
-
-    profile = []
-    running = 0
-    for k in range(1, n + 1):
-        running = max(running, best_by_cover[k])
-        profile.append(running)
-    return tuple(profile)
-
-
-def brute_force_kpath_max(diagram: Diagram, k: int) -> int:
-    """
-    The exact maximum number of nodes covered by at most k mutually
-    disjoint paths, found by exhaustive search (no Robinson-Schensted
-    machinery involved; used to cross-check ``subsequence_type``).
-
-    >>> brute_force_kpath_max(Diagram(((1, 2), (2, 1))), 1)
-    1
-    >>> brute_force_kpath_max(young_diagram((2, 2)), 5)
-    4
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    profile = _chain_union_profile(diagram)
-    return profile[min(k, diagram.size) - 1]

@@ -14,6 +14,7 @@ of entries.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .compositions import (
@@ -76,23 +77,6 @@ def length(w: Sequence[int]) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
 
-def inversion_set(w: Sequence[int]) -> set[tuple[int, int]]:
-    """
-    The set of inverted position pairs (i, j) with i < j and iw > jw,
-    1-based.  Its size is ``length(w)``.
-
-    >>> sorted(inversion_set((3, 1, 2)))
-    [(1, 2), (1, 3)]
-    """
-    n = len(w)
-    return {
-        (i + 1, j + 1)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if w[i] > w[j]
-    }
-
-
 def inverse(w: Sequence[int]) -> Perm:
     """
     >>> inverse((2, 3, 1))
@@ -114,15 +98,6 @@ def compose(w: Sequence[int], v: Sequence[int]) -> Perm:
     if len(w) != len(v):
         raise ValueError(f"cannot compose permutations of sizes {len(w)} and {len(v)}")
     return tuple(v[wi - 1] for wi in w)
-
-
-def times_gen(w: Sequence[int], k: int) -> Perm:
-    """
-    Right-multiply by the generator s_k, i.e. swap the values k and k+1.
-    """
-    if not 1 <= k <= len(w) - 1:
-        raise ValueError(f"generator index {k} out of range for n={len(w)}")
-    return tuple(k + 1 if x == k else k if x == k + 1 else x for x in w)
 
 
 def from_generator_word(n: int, word: Iterable[int]) -> Perm:
@@ -232,7 +207,7 @@ def is_coset_rep(e: Sequence[int], parts: Iterable[int]) -> bool:
     parts = check_composition(parts)
     if sum(parts) != len(e):
         raise ValueError(f"composition {parts} does not sum to n={len(e)}")
-    sums = partial_sums(parts)
+    sums = (0, *accumulate(parts))  # partial_sums would check parts again
     return all(
         e[i] < e[i + 1]
         for lo, hi in zip(sums, sums[1:])
@@ -327,18 +302,3 @@ def shape(w: Sequence[int]) -> Composition:
     """
     p, _ = rsk(w)
     return check_partition(tuple(len(row) for row in p))
-
-
-def same_right_cell(w: Sequence[int], v: Sequence[int]) -> bool:
-    """
-    Two permutations lie in the same right Kazhdan-Lusztig cell exactly when
-    their recording tableaux agree.
-
-    >>> same_right_cell((2, 1, 3), (3, 1, 2))
-    True
-    >>> same_right_cell((1, 2, 3), (3, 2, 1))
-    False
-    """
-    if len(w) != len(v):
-        raise ValueError("cell comparison requires permutations of the same size")
-    return rsk(w)[1] == rsk(v)[1]

@@ -10,6 +10,10 @@ ways: a search for the elements of Z with no one-generator extension
 inside Z; and closed-form constructions for the composition families where
 the rim is known explicitly.  ``verify_theorems`` diffs the two engines.
 
+Z holds the minimal coset representatives e with Q(w_J e) = Q(w_J); by the
+characterization the diagram calculus rests on, e lies in Z exactly when
+``is_admissible(diagram_from_element(e, λ))``.
+
 Z comes from the Robinson-Schensted fiber {v : Q(v) = Q(w_J)}, whose
 elements are the inverses of the u with P(u) = Q(w_J) (Schützenberger's
 symmetry P(v^-1) = Q(v)).  A depth-first search reverse-bumps the fixed
@@ -52,9 +56,6 @@ from .diagrams import (
 from .permutations import (
     Perm,
     Word,
-    check_permutation,
-    compose,
-    is_coset_rep,
     longest_parabolic_element,
     reduced_word,
     rsk,
@@ -109,26 +110,6 @@ def _result_from_diagrams(parts: Composition, diagrams: Iterable[Diagram]) -> Ri
         diagrams=diagrams,
         special=tuple(is_special(d) for d in diagrams),
     )
-
-
-def in_z(e: Sequence[int], parts: Iterable[int]) -> bool:
-    """
-    Membership in Z: e is a minimal coset representative and w_J e lies in
-    the right cell of w_J.
-
-    >>> in_z((1, 3, 2), (2, 1))
-    True
-    >>> in_z((3, 1, 2), (2, 1))
-    False
-    """
-    e = check_permutation(e)
-    parts = check_composition(parts)
-    if sum(parts) != len(e):
-        raise ValueError(f"composition {parts} does not sum to n={len(e)}")
-    if not is_coset_rep(e, parts):
-        return False
-    w_j = longest_parabolic_element(parts)
-    return rsk(compose(w_j, e))[1] == rsk(w_j)[1]
 
 
 def check_search_bound(parts: Composition, bound: int | None) -> int:

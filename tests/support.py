@@ -23,7 +23,6 @@ from klrim import (
     rsk,
     rsk_inverse,
     standard_tableaux,
-    times_gen,
     w_of_diagram,
     young_diagram,
 )
@@ -64,6 +63,11 @@ def random_kpath(rng: random.Random, diagram: Diagram, cover: bool = False) -> K
             paths.append([node])
     rng.shuffle(paths)
     return KPath(tuple(tuple(p) for p in paths), host=diagram)
+
+
+def times_gen(w: Perm, k: int) -> Perm:
+    """Right-multiply by the generator s_k, i.e. swap the values k and k+1."""
+    return tuple(k + 1 if x == k else k if x == k + 1 else x for x in w)
 
 
 def brute_prefixes(w: Perm) -> set[Perm]:
@@ -205,6 +209,76 @@ def prefix_union(result: RimResult) -> set[Perm]:
     for diagram in result.diagrams:
         elements.update(prefixes_of_wd(diagram))
     return elements
+
+
+# subset DP over node masks; past ~20 nodes use the RSK route instead
+BRUTE_FORCE_NODE_LIMIT = 20
+
+
+def _chain_union_profile(diagram: Diagram) -> tuple[int, ...]:
+    """
+    Exhaustive oracle: entry k-1 is the maximum size of a node subset that
+    can be covered by at most k disjoint paths.
+
+    A path is a chain of the strict order (a, b) < (a', b') iff a < a' and
+    b <= b', so by Dilworth's theorem a subset is coverable by k paths iff
+    it has no antichain of size k+1.  Maximum antichains are maximum
+    independent sets of the incomparability graph, computed for every node
+    subset by one bottom-up DP over bitmasks.
+    """
+    nodes = diagram.nodes
+    n = len(nodes)
+    if n > BRUTE_FORCE_NODE_LIMIT:
+        raise ValueError(f"brute-force oracle limited to {BRUTE_FORCE_NODE_LIMIT} nodes")
+
+    def comparable(a: Node, b: Node) -> bool:
+        return (a[0] < b[0] and a[1] <= b[1]) or (b[0] < a[0] and b[1] <= a[1])
+
+    incompat = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and not comparable(nodes[i], nodes[j]):
+                incompat[i] |= 1 << j
+
+    # max_antichain[mask] = size of the largest antichain inside mask
+    size = 1 << n
+    max_antichain = [0] * size
+    for mask in range(1, size):
+        low = (mask & -mask).bit_length() - 1
+        skip = max_antichain[mask ^ (1 << low)]
+        take = 1 + max_antichain[mask & incompat[low]]
+        max_antichain[mask] = take if take > skip else skip
+
+    best_by_cover = [0] * (n + 1)
+    for mask in range(size):
+        c = max_antichain[mask]
+        pc = mask.bit_count()
+        if pc > best_by_cover[c]:
+            best_by_cover[c] = pc
+
+    profile = []
+    running = 0
+    for k in range(1, n + 1):
+        running = max(running, best_by_cover[k])
+        profile.append(running)
+    return tuple(profile)
+
+
+def brute_force_kpath_max(diagram: Diagram, k: int) -> int:
+    """
+    The exact maximum number of nodes covered by at most k mutually
+    disjoint paths, found by exhaustive search (no Robinson-Schensted
+    machinery involved; used to cross-check ``subsequence_type``).
+
+    >>> brute_force_kpath_max(Diagram(((1, 2), (2, 1))), 1)
+    1
+    >>> brute_force_kpath_max(young_diagram((2, 2)), 5)
+    4
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    profile = _chain_union_profile(diagram)
+    return profile[min(k, diagram.size) - 1]
 
 
 def oracle_type(profile: tuple[int, ...]) -> tuple[int, ...]:

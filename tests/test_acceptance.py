@@ -19,13 +19,13 @@ from klrim.diagrams import (
     standard_tableaux,
     subsequence_type,
     w_of_diagram,
-    _chain_union_profile,
 )
 from klrim.paths import KPath, is_ordered, order_kpath
 from klrim.permutations import dot_conjugate
 from klrim.rims import rim_search, theta_star
 
 from support import (
+    _chain_union_profile,
     brute_prefixes,
     compress_nodes,
     oracle_type,

@@ -9,7 +9,6 @@ from klrim.diagrams import (
     Diagram,
     DTableau,
     act,
-    brute_force_kpath_max,
     column_fill,
     complete_prefix,
     diagram_from_element,
@@ -23,7 +22,6 @@ from klrim.diagrams import (
     subsequence_type,
     w_of_diagram,
     young_diagram,
-    _chain_union_profile,
 )
 from klrim.permutations import (
     compose,
@@ -36,6 +34,8 @@ from klrim.permutations import (
 from klrim.rims import _p_diagram
 
 from support import (
+    _chain_union_profile,
+    brute_force_kpath_max,
     brute_prefixes,
     compress_nodes,
     oracle_type,
@@ -140,9 +140,15 @@ def _sorted_desc(parts):
 @given(st.integers(0, 10**9))
 def test_special_iff_conjugate_condition(seed):
     d = random_diagram(random.Random(seed))
-    cross = is_special(d)
+    # the definition: any two nodes in distinct rows and columns have a
+    # crossing position that is also a node
+    crossing = all(
+        i == i2 or j == j2 or (i2, j) in d or (i, j2) in d
+        for i, j in d.nodes
+        for i2, j2 in d.nodes
+    )
     algebraic = _sorted_desc(d.row_composition) == conjugate(d.column_composition)
-    assert cross == algebraic
+    assert is_special(d) == crossing == algebraic
 
 
 def _random_special(rng):

@@ -1,4 +1,5 @@
-"""Checks over every klrim module: docstring examples, no bare asserts."""
+"""Checks over every klrim module: docstring examples, no bare asserts and
+no raised AssertionError."""
 import ast
 import doctest
 import importlib
@@ -18,10 +19,23 @@ def test_docstring_examples():
     assert attempted > 0
 
 
+def _raises_assertion_error(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_invariants_survive_optimized_mode():
-    # python -O strips assert statements, so invariants must raise explicitly
+    # python -O strips assert statements, so invariants must raise explicitly;
+    # a broken invariant raises RuntimeError, never AssertionError, which
+    # reads as a failed assert
     for info in pkgutil.iter_modules(klrim.__path__):
         module = importlib.import_module(f"klrim.{info.name}")
         tree = ast.parse(inspect.getsource(module))
-        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        asserts = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert) or _raises_assertion_error(node)
+        ]
         assert asserts == [], (info.name, asserts)

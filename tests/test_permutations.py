@@ -10,7 +10,6 @@ from klrim.permutations import (
     from_generator_word,
     identity,
     inverse,
-    inversion_set,
     is_coset_rep,
     is_prefix,
     is_standard_young_tableau,
@@ -20,7 +19,6 @@ from klrim.permutations import (
     reduced_word,
     rsk,
     rsk_inverse,
-    same_right_cell,
     shape,
 )
 from klrim.compositions import compositions_of
@@ -50,12 +48,6 @@ def test_length_examples():
     assert length(longest_element(4)) == 6
 
 
-def test_inversion_set_examples():
-    assert inversion_set(identity(3)) == set()
-    assert inversion_set((2, 1, 3)) == {(1, 2)}
-    assert inversion_set((3, 1, 2)) == {(1, 2), (1, 3)}
-
-
 def test_compose_examples():
     w = (2, 1, 3)
     assert compose(w, identity(3)) == w
@@ -75,9 +67,7 @@ def test_length_equals_inversions_equals_word_length_exhaustive():
     # exhaustive through S_7
     for n in range(1, 8):
         for w in everything(n):
-            l = length(w)
-            assert l == len(inversion_set(w))
-            assert l == len(reduced_word(w))
+            assert length(w) == len(reduced_word(w))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -210,19 +200,6 @@ def test_shape_examples():
 @given(perms)
 def test_shape_invariant_under_inverse(w):
     assert shape(w) == shape(inverse(w))
-
-
-def test_same_right_cell_examples():
-    w = (3, 1, 4, 2)
-    assert same_right_cell(w, w)
-    assert same_right_cell((2, 1, 3), (3, 1, 2))
-    assert not same_right_cell(identity(3), longest_element(3))
-
-
-@given(perms, perms)
-def test_same_right_cell_implies_same_shape(w, v):
-    if len(w) == len(v) and same_right_cell(w, v):
-        assert shape(w) == shape(v)
 
 
 def test_dot_conjugate():

@@ -33,7 +33,6 @@ from klrim.rims import (
     SearchBoundExceeded,
     cell_elements,
     cell_size,
-    in_z,
     rim_closed_form,
     rim_search,
     star_extend,
@@ -61,17 +60,6 @@ from support import (
     restart_reduced_word,
     staircase_row_form,
 )
-
-
-def test_in_z_examples():
-    for n in range(1, 5):
-        for parts in compositions_of(n):
-            assert in_z(identity(n), parts)
-    assert in_z((1, 3, 2), (2, 1))
-    assert not in_z((3, 1, 2), (2, 1))  # not a coset representative
-    assert not in_z((2, 3, 1), (2, 1))
-    with pytest.raises(ValueError):
-        in_z((1, 2, 3), (2, 2))
 
 
 def test_rim_search_on_partitions():
