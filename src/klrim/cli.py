@@ -24,12 +24,12 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .compositions import Composition, check_composition
 from .diagrams import Diagram, Node, is_admissible, subsequence_type
 from .paths import KPath, order_kpath
-from .permutations import check_permutation, reduced_word
+from .permutations import reduced_word
 from .rims import (
     DEFAULT_SEARCH_BOUND,
     RimResult,

@@ -87,7 +87,11 @@ def conjugate(parts: Iterable[int]) -> Composition:
     >>> conjugate((2, 3, 1))
     (3, 2, 1)
     """
-    parts = check_composition(parts)
+    return _conjugate(check_composition(parts))
+
+
+def _conjugate(parts: Composition) -> Composition:
+    """``conjugate`` of parts already known to form a composition."""
     return tuple(sum(1 for p in parts if p >= i) for i in range(1, max(parts) + 1))
 
 

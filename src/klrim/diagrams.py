@@ -13,25 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
-from .compositions import (
-    Composition,
-    check_composition,
-    check_partition,
-    conjugate,
-    partial_sums,
-)
-from .permutations import (
-    Perm,
-    Word,
-    check_permutation,
-    compose,
-    is_coset_rep,
-    length,
-    longest_parabolic_element,
-    shape,
-)
+from .compositions import Composition, _conjugate, check_composition, check_partition
+from .permutations import Perm, Word, check_permutation, is_coset_rep, length, rsk
 
 Node = tuple[int, int]
 
@@ -119,10 +105,6 @@ class DTableau:
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"entries must be a bijection onto 1..{n}: {entries}")
         object.__setattr__(self, "entries", entries)
-
-    @cached_property
-    def node_of_entry(self) -> dict[int, Node]:
-        return {e: node for node, e in zip(self.diagram.nodes, self.entries)}
 
 
 def row_fill(diagram: Diagram) -> DTableau:
@@ -242,7 +224,7 @@ def _diagram_from_element(d: Perm, parts: Composition) -> Diagram:
     representatives a search has just produced; the column reading is still
     checked against d.
     """
-    sums = partial_sums(parts)
+    sums = (0, *accumulate(parts))  # partial_sums would check parts again
     row_of = [0] * (len(d) + 1)
     for r, (lo, hi) in enumerate(zip(sums, sums[1:]), start=1):
         for pos in range(lo, hi):
@@ -355,15 +337,23 @@ def subsequence_type(diagram: Diagram) -> Composition:
     """
     The partition whose k-th prefix sum is the maximum number of nodes
     coverable by k disjoint paths, computed through the Robinson-Schensted
-    shape of the associated permutation.
+    shape of the associated permutation w_J·w_D.  Left multiplication by
+    w_J, the longest element of the row composition's Young subgroup,
+    reverses each row's block of the row-form of w_D = ``w_of_diagram``.
 
     >>> subsequence_type(young_diagram((2, 2)))
     (2, 2)
     >>> subsequence_type(Diagram(((1, 2), (2, 1))))
     (1, 1)
     """
-    w_j = longest_parabolic_element(diagram.row_composition)
-    return shape(compose(w_j, w_of_diagram(diagram)))
+    w_d = w_of_diagram(diagram)
+    word: list[int] = []
+    hi = 0
+    for size in diagram.row_composition:
+        lo, hi = hi, hi + size
+        word.extend(reversed(w_d[lo:hi]))
+    p, _ = rsk(word)
+    return tuple(len(row) for row in p)
 
 
 def is_admissible(diagram: Diagram) -> bool:
@@ -376,4 +366,4 @@ def is_admissible(diagram: Diagram) -> bool:
     >>> is_admissible(Diagram(((1, 2), (2, 1))))
     False
     """
-    return subsequence_type(diagram) == conjugate(diagram.row_composition)
+    return subsequence_type(diagram) == _conjugate(diagram.row_composition)

@@ -5,15 +5,16 @@ A path is a node sequence descending strictly through rows while moving
 weakly right through columns; a k-path is a sequence of k mutually disjoint
 paths.  Two node sets satisfy ``precedes`` when everything weakly below the
 first set is strictly to its right, and a k-path is *ordered* when its
-constituents are pairwise related this way.  Every k-path can be rearranged
-into an equivalent ordered one by repeatedly peeling a maximal "staircase"
-path off the support; ``order_kpath`` implements that rearrangement.
+constituents are pairwise related this way; ``is_ordered`` decides that in
+one sweep over the constituents.  Every k-path can be rearranged into an
+equivalent ordered one by repeatedly peeling a maximal "staircase" path off
+the support; ``order_kpath`` implements that rearrangement, peeling from
+per-row buckets of columns built once.  Coordinates are 1-based positive.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 from .diagrams import Diagram, Node, act, is_standard, row_fill, w_of_diagram
@@ -46,6 +47,9 @@ class KPath:
                     raise ValueError(
                         f"not a path (rows must increase strictly, columns weakly): {p}"
                     )
+            # rows rise strictly and columns weakly, so p[0] is the least
+            if p[0][0] < 1 or p[0][1] < 1:
+                raise ValueError(f"k-path coordinates are 1-based positive: {p[0]}")
             for node in p:
                 if node in seen:
                     raise ValueError(f"constituent paths must be disjoint; {node} repeats")
@@ -144,38 +148,81 @@ def is_ordered(kpath: KPath) -> bool:
     """
     True when every constituent precedes all later ones.
 
+    One sweep over the constituents in order: a Fenwick tree over the ranks
+    of the occupied rows keeps, per row, the largest column the earlier
+    constituents use there, and answers the running maximum over all rows
+    at or above a given one.  A node fails when its column does not exceed
+    that maximum at its own row, which is exactly a failed ``precedes``
+    against some earlier constituent.  Rows are indexed by rank, never by
+    value, so a huge coordinate costs nothing.
+
     >>> is_ordered(KPath((((1, 1), (2, 1)),)))
     True
+    >>> is_ordered(KPath((((1, 2),), ((2, 1),))))
+    False
     """
-    supports = [p for p in kpath.paths]
-    return all(
-        precedes(supports[i], supports[j])
-        for i in range(len(supports))
-        for j in range(i + 1, len(supports))
-    )
+    rank = {r: i for i, r in enumerate(sorted({r for p in kpath.paths for r, _ in p}), 1)}
+    size = len(rank)
+    # tree[i] holds the largest column over a Fenwick range of row ranks;
+    # 0 means no node, as coordinates are positive
+    tree = [0] * (size + 1)
+    for path in kpath.paths:
+        for r, c in path:
+            i = rank[r]
+            while i:
+                if tree[i] >= c:
+                    return False
+                i &= i - 1
+        for r, c in path:
+            i = rank[r]
+            while i <= size:
+                if tree[i] < c:
+                    tree[i] = c
+                i += i & -i
+    return True
+
+
+def _row_buckets(nodes: Iterable[Node]) -> dict[int, list[int]]:
+    """The columns of each occupied row in ascending order, rows top to bottom."""
+    buckets: dict[int, list[int]] = {}
+    for r, c in sorted(nodes):
+        buckets.setdefault(r, []).append(c)
+    return buckets
+
+
+def _peel(buckets: dict[int, list[int]]) -> Path:
+    """
+    Peel one path off the nodes held in ``buckets``, as ``peel_path`` does,
+    popping its nodes from their buckets and dropping the rows it empties.
+    """
+    path: list[Node] = []
+    kept_col = 0
+    for r, cols in buckets.items():
+        if cols[-1] >= kept_col:
+            kept_col = cols.pop()
+            path.append((r, kept_col))
+    if not path:
+        raise RuntimeError("a peel must remove at least one node")
+    for r, _ in path:
+        if not buckets[r]:
+            del buckets[r]
+    return tuple(path)
 
 
 def peel_path(nodes: Iterable[Node]) -> Path:
     """
-    Extract one path from a node set: walk the rows top to bottom, look at
-    the rightmost node of the current row, and keep it whenever its column
-    is not smaller than everything kept so far.  Whatever remains precedes
-    the peeled path.
+    Extract one path from a node set of positive coordinates: walk the
+    rows top to bottom, look at the rightmost node of the current row, and
+    keep it whenever its column is not smaller than everything kept so
+    far.  Whatever remains precedes the peeled path.
 
     >>> peel_path({(1, 1), (1, 3), (2, 2)})
     ((1, 3),)
     """
-    remaining = sorted(set(nodes))
-    if not remaining:
+    buckets = _row_buckets(set(nodes))
+    if not buckets:
         raise ValueError("cannot peel a path from an empty node set")
-    path: list[Node] = []
-    kept_col = 0
-    for _, group in groupby(remaining, key=lambda node: node[0]):
-        candidate = max(group, key=lambda node: node[1])
-        if candidate[1] >= kept_col:
-            path.append(candidate)
-            kept_col = candidate[1]
-    return tuple(path)
+    return _peel(buckets)
 
 
 def _split_with_tail_singletons(path: Path, extra: int) -> list[Path]:
@@ -194,7 +241,9 @@ def order_kpath(kpath: KPath, parts: int | None = None) -> KPath:
     """
     An ordered k'-path with the same support, built by peeling paths off
     the support repeatedly and listing them in reverse peel order.  The
-    peel count k' never exceeds the constituent count of the input.
+    support is sorted into per-row buckets of columns once; each peel pops
+    the rightmost column of the rows it keeps.  The peel count k' never
+    exceeds the constituent count of the input.
 
     When ``parts`` is given and exceeds k', constituents are split from the
     front of the sequence, the surplus nodes becoming singleton paths, so
@@ -203,12 +252,10 @@ def order_kpath(kpath: KPath, parts: int | None = None) -> KPath:
     >>> order_kpath(KPath((((1, 2),), ((1, 1), (2, 1)),))).paths
     (((1, 1), (2, 1)), ((1, 2),))
     """
-    remaining = set(kpath.support)
+    buckets = _row_buckets(kpath.support)
     peels: list[Path] = []
-    while remaining:
-        rho = peel_path(remaining)
-        peels.append(rho)
-        remaining.difference_update(rho)
+    while buckets:
+        peels.append(_peel(buckets))
 
     constituents: list[Path] = list(reversed(peels))
     if parts is not None:

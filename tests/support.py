@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, groupby
 
 from klrim import (
     Diagram,
@@ -19,6 +19,7 @@ from klrim import (
     is_special,
     longest_parabolic_element,
     partial_sums,
+    precedes,
     prefixes_of_wd,
     rsk,
     rsk_inverse,
@@ -63,6 +64,11 @@ def random_kpath(rng: random.Random, diagram: Diagram, cover: bool = False) -> K
             paths.append([node])
     rng.shuffle(paths)
     return KPath(tuple(tuple(p) for p in paths), host=diagram)
+
+
+def node_of_entry(tableau) -> dict[int, Node]:
+    """The node of a ``DTableau`` holding each entry."""
+    return dict(zip(tableau.entries, tableau.diagram.nodes))
 
 
 def times_gen(w: Perm, k: int) -> Perm:
@@ -291,6 +297,66 @@ def oracle_type(profile: tuple[int, ...]) -> tuple[int, ...]:
         typ.append(g - prev)
         prev = g
     return tuple(typ)
+
+
+def all_pairs_is_ordered(kpath: KPath) -> bool:
+    """``is_ordered`` by its definition: every constituent precedes every
+    later one, one ``precedes`` call per pair."""
+    paths = kpath.paths
+    return all(
+        precedes(paths[i], paths[j])
+        for i in range(len(paths))
+        for j in range(i + 1, len(paths))
+    )
+
+
+def peel_path_oracle(nodes) -> tuple[Node, ...]:
+    """One peel, row group by row group of the sorted node set: keep each
+    row's rightmost node if its column is not below every column kept."""
+    path: list[Node] = []
+    kept_col = 0
+    for _, group in groupby(sorted(set(nodes)), key=lambda node: node[0]):
+        candidate = max(group, key=lambda node: node[1])
+        if candidate[1] >= kept_col:
+            path.append(candidate)
+            kept_col = candidate[1]
+    return tuple(path)
+
+
+def order_kpath_oracle(kpath: KPath, parts: int | None = None) -> tuple:
+    """
+    The constituents ``order_kpath`` returns, by peeling a shrinking node
+    set with ``peel_path_oracle`` until it is empty, then splitting the
+    front constituents into singletons up to ``parts``.  ValueError where
+    ``order_kpath`` refuses.
+    """
+    remaining = set(kpath.support)
+    peels = []
+    while remaining:
+        rho = peel_path_oracle(remaining)
+        peels.append(rho)
+        remaining.difference_update(rho)
+    constituents = list(reversed(peels))
+    if parts is None:
+        return tuple(constituents)
+    if parts < len(constituents):
+        raise ValueError(f"{parts} parts are fewer than {len(constituents)} peels")
+    extra = parts - len(constituents)
+    idx = 0
+    while extra > 0 and idx < len(constituents):
+        path = constituents[idx]
+        take = min(extra, len(path) - 1)
+        if take > 0:
+            # the last `take` nodes become singletons, bottom-up
+            constituents[idx : idx + 1] = [(node,) for node in reversed(path[-take:])] + [
+                path[:-take]
+            ]
+            extra -= take
+            idx += take
+        idx += 1
+    if extra > 0:
+        raise ValueError(f"support has fewer than {parts} nodes")
+    return tuple(constituents)
 
 
 def staircase_row_form(r: int, v: int) -> Perm:

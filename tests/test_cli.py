@@ -1,6 +1,11 @@
 import hashlib
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,13 +20,25 @@ from klrim.cli import (
     render_diagram,
 )
 from klrim.compositions import compositions_of
-from klrim.diagrams import young_diagram
+from klrim.diagrams import Diagram, young_diagram
+
+from support import compress_nodes, random_kpath
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # sha256 of the stdout of `klrim cell --format <format>`, concatenated over
 # every composition of n = 1..8 in compositions_of order
 CELL_DIGESTS = {
     "json": "38fedd6af3211666246511c92c69e3e9e3eeb9bf49ed000cbbc3775a65ad2e5b",
     "text": "8656851cf1e27a005e8d986105f367f3bc14b48453359244e110afbe608fbec6",
+}
+
+# sha256 of exit code and stdout over calculus_inputs(): `order-path`, then
+# `order-path --parts k` for the input's k, on each k-path; `admissible
+# --format json` on each diagram
+CALCULUS_DIGESTS = {
+    "order-path": "bfd5aa3f05b004f325a695e2e5ab6b5ecb0cf9579e3ea4b0330b5c0f1b617837",
+    "admissible": "045dba52425881a136a24bbc6e198ee3fd888fee923a8a547e3f48065140d8e9",
 }
 
 
@@ -64,12 +81,69 @@ def test_codecs_round_trip():
         ("order-path", {"paths": [[[1, False]]]}),
         ("admissible", {"nodes": [[1, 10**12]]}),
         ("admissible", {"nodes": [[10**12, 1]]}),
+        # [[1, -1]], which once hung, runs in a child process below
+        ("order-path", {"paths": [[[0, 1]]]}),
+        ("order-path", {"paths": [[[1, 0]]]}),
     ],
 )
 def test_malformed_coordinates_exit_2(command, payload, capsys):
     assert run([command], stdin_text=json.dumps(payload)) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_order_path_on_a_nonpositive_column_exits_instead_of_hanging():
+    # run in a child process, so that a hang fails the test instead of
+    # stalling the suite
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run(
+        [sys.executable, "-c", "from klrim.cli import entry_point; entry_point()", "order-path"],
+        input=b'{"paths": [[[1, -1]]]}',
+        capture_output=True,
+        env=env,
+        timeout=10,
+    )
+    assert (run.returncode, run.stdout) == (2, b"")
+    assert run.stderr == b"error: k-path coordinates are 1-based positive: (1, -1)\n"
+
+
+def calculus_inputs():
+    """
+    40 seeded diagrams of 30, 33, ..., 147 nodes, each with a random k-path
+    covering it.  Every fourth diagram is the Young diagram of a random
+    partition, hence admissible; the others are random cells of a grid.
+    Every other k-path has its rows spread 10**10 apart, so its support is
+    no diagram and it travels without a host.
+    """
+    rng = random.Random(2019)
+    for i in range(40):
+        size = 30 + 3 * i
+        rows = rng.randint(size // 10, size // 3)
+        if i % 4 == 0:
+            cuts = sorted(rng.sample(range(1, size), rows - 1))
+            parts = [b - a for a, b in zip([0] + cuts, cuts + [size])]
+            diagram = young_diagram(sorted(parts, reverse=True))
+        else:
+            cols = -(-2 * size // rows)
+            grid = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+            diagram = Diagram(compress_nodes(rng.sample(grid, size)))
+        paths = [[list(node) for node in p] for p in random_kpath(rng, diagram, cover=True).paths]
+        if i % 2:
+            paths = [[[r * 10**10, c] for r, c in p] for p in paths]
+        yield diagram, {"paths": paths}
+
+
+def test_calculus_output_is_pinned_byte_for_byte():
+    digests = {command: hashlib.sha256() for command in CALCULUS_DIGESTS}
+    for diagram, kpath in calculus_inputs():
+        stdin = json.dumps(kpath)
+        for argv in (["order-path"], ["order-path", "--parts", str(len(kpath["paths"]))]):
+            code, out = run(argv, stdin_text=stdin)
+            digests["order-path"].update(f"{code}\n{out}".encode())
+        code, out = run(["admissible", "--format", "json"], stdin_text=json.dumps(diagram_to_json(diagram)))
+        digests["admissible"].update(f"{code}\n{out}".encode())
+    assert {command: d.hexdigest() for command, d in digests.items()} == CALCULUS_DIGESTS
 
 
 def test_render_diagram():

@@ -30,6 +30,8 @@ from klrim.permutations import (
     identity,
     is_coset_rep,
     length,
+    longest_parabolic_element,
+    shape,
 )
 from klrim.rims import _p_diagram
 
@@ -278,6 +280,15 @@ def test_subsequence_type_examples():
     for parts in [(3, 1), (2, 2), (4, 2, 1)]:
         assert subsequence_type(young_diagram(parts)) == conjugate(parts)
     assert subsequence_type(_p_diagram(4, 1)) == (4, 2)
+
+
+@given(st.sets(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=45))
+def test_subsequence_type_is_the_shape_of_w_j_times_w_d(cells):
+    d = Diagram(compress_nodes(cells))
+    rows = d.row_composition
+    expected = shape(compose(longest_parabolic_element(rows), w_of_diagram(d)))
+    assert subsequence_type(d) == expected
+    assert is_admissible(d) == (expected == conjugate(rows))
 
 
 def test_brute_force_kpath_max_examples():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from klrim.diagrams import Diagram, act, diagram_from_element, is_standard, row_fill, w_of_diagram, young_diagram
 from klrim.paths import (
@@ -17,7 +18,15 @@ from klrim.paths import (
 from klrim.paths import right_side
 from klrim.rims import _d_tsu_diagram, _p_diagram
 
-from support import compress_nodes, random_diagram, random_kpath
+from support import (
+    all_pairs_is_ordered,
+    compress_nodes,
+    node_of_entry,
+    order_kpath_oracle,
+    peel_path_oracle,
+    random_diagram,
+    random_kpath,
+)
 
 # a 7-path on a 6x7 board that is not ordered, its canonical ordered
 # 5-path equivalent, and another equivalent ordered 7-path
@@ -59,6 +68,9 @@ def test_kpath_validation():
         KPath((((1, 1),), ((1, 1),)))  # overlap
     with pytest.raises(ValueError):
         KPath((((1, 1),), ((9, 9),)), host=young_diagram((2, 1)))
+    for node in [(1, -1), (0, 1), (1, 0)]:
+        with pytest.raises(ValueError, match="1-based positive"):
+            KPath(((node, (5, 5)),))
     kp = KPath(SEVEN_PATH)
     assert kp.k == 7
     assert kp.length == 21
@@ -135,6 +147,9 @@ def test_peel_path_examples():
     assert peel_path({(1, 1), (1, 3), (2, 2)}) == ((1, 3),)
     with pytest.raises(ValueError):
         peel_path(set())
+    # no column reaches the empty start, so nothing could be peeled
+    with pytest.raises(RuntimeError):
+        peel_path({(1, -1)})
 
 
 def test_peel_remainder_precedes_peeled():
@@ -197,6 +212,61 @@ def test_order_kpath_random_properties():
         assert exact.k == kp.k
         assert exact.support == kp.support
         assert is_ordered(exact)
+
+
+# coordinates up to 8, or 10**12: a row or column indexed by value would
+# not fit in memory
+coordinates = st.integers(1, 8) | st.just(10**12)
+
+
+@st.composite
+def kpaths(draw) -> KPath:
+    """Sweep a random node set row-major, extending a compatible path or
+    opening a new one, then list the paths in a random order."""
+    cells = draw(st.sets(st.tuples(coordinates, coordinates), min_size=1, max_size=30))
+    paths: list[list] = []
+    for node in sorted(cells):
+        options = [p for p in paths if p[-1][0] < node[0] and p[-1][1] <= node[1]]
+        pick = draw(st.integers(0, len(options)))
+        if pick < len(options):
+            options[pick].append(node)
+        else:
+            paths.append([node])
+    return KPath(tuple(map(tuple, draw(st.permutations(paths)))))
+
+
+@given(kpaths(), st.randoms(use_true_random=False))
+def test_is_ordered_matches_the_all_pairs_oracle(kp, rng):
+    assert is_ordered(kp) == all_pairs_is_ordered(kp)
+    ordered = KPath(order_kpath_oracle(kp))
+    assert is_ordered(ordered) and all_pairs_is_ordered(ordered)
+    # a reordering of ordered constituents may or may not stay ordered
+    shuffled = KPath(tuple(rng.sample(ordered.paths, ordered.k)))
+    assert is_ordered(shuffled) == all_pairs_is_ordered(shuffled)
+
+
+@given(kpaths(), st.integers(-1, 40))
+def test_order_kpath_matches_the_peeling_oracle(kp, parts):
+    assert peel_path(kp.support) == peel_path_oracle(kp.support)
+    assert order_kpath(kp).paths == order_kpath_oracle(kp)
+    try:
+        expected = order_kpath_oracle(kp, parts)
+    except ValueError:
+        with pytest.raises(ValueError):
+            order_kpath(kp, parts)
+    else:
+        assert order_kpath(kp, parts).paths == expected
+
+
+def test_huge_rows_and_columns_are_ranked_not_indexed():
+    big = 10**12
+    kp = KPath((((2, big + 1),), ((big, big),), ((1, 1), (big - 1, big))))
+    assert not is_ordered(kp)
+    assert not all_pairs_is_ordered(kp)
+    out = order_kpath(kp)
+    expected = (((big - 1, big), (big, big)), ((1, 1), (2, big + 1)))
+    assert out.paths == order_kpath_oracle(kp) == expected
+    assert is_ordered(out)
 
 
 def test_diagram_of_ordered_on_column_decompositions():
@@ -324,7 +394,7 @@ def test_row_bijection_does_not_preserve_order():
     assert is_standard(tableau)
     groups = [(1, 2, 3, 6), (4, 7), (5, 9), (8, 10)]
     paths = tuple(
-        tuple(sorted(tableau.node_of_entry[x] for x in group)) for group in groups
+        tuple(sorted(node_of_entry(tableau)[x] for x in group)) for group in groups
     )
     kp = KPath(paths, host=e)
     assert is_ordered(kp)
