@@ -1,0 +1,5 @@
+"""``python -m klrim``: the klrim command line."""
+from .cli import entry_point
+
+if __name__ == "__main__":
+    entry_point()

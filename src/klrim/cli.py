@@ -214,13 +214,10 @@ def _cmd_cell(args: argparse.Namespace, out) -> int:
         return EXIT_OK
     elements = cell_elements(parts, bound)
     if args.format == "json":
-        # each line is joined by hand: the bytes json.dumps gives, at a
-        # fraction of its cost
+        # each line is written by hand: the repr of a list of ints is the
+        # text json.dumps gives for it, at a fraction of its cost
         for w, word in elements:
-            out.write(
-                '{"row_form": [' + ", ".join(map(str, w))
-                + '], "reduced_word": [' + ", ".join(map(str, word)) + "]}\n"
-            )
+            out.write(f'{{"row_form": {list(w)}, "reduced_word": {list(word)}}}\n')
     else:
         for w, word in elements:
             out.write(f"{list(w)}  word: {_render_word(word)}\n")

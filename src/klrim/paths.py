@@ -13,8 +13,10 @@ per-row buckets of columns built once.  Coordinates are 1-based positive.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .diagrams import Diagram, Node, act, is_standard, row_fill, w_of_diagram
@@ -80,8 +82,8 @@ class KPath:
 def precedes(first: Iterable[Node], second: Iterable[Node]) -> bool:
     """
     True when for every node (a1, b1) of ``first`` and (a2, b2) of
-    ``second`` with a1 <= a2 one has b1 < b2.  Decided by one monotone
-    sweep over both sets in row order.
+    ``second`` with a1 <= a2 one has b1 < b2: every node of ``second``
+    lies in ``right_side(first)``.
 
     >>> precedes({(2, 3)}, {(1, 1)})
     True
@@ -89,27 +91,13 @@ def precedes(first: Iterable[Node], second: Iterable[Node]) -> bool:
     True
     >>> precedes({(2, 3)}, {(3, 2)})
     False
+    >>> precedes({(1, -1)}, {(2, 0)})
+    True
     """
-    pts1 = sorted(first)
-    pts2 = sorted(second)
-    if not pts1 or not pts2:
+    first, second = tuple(first), tuple(second)
+    if not first or not second:
         raise ValueError("precedes is defined for nonempty node sets")
-    i = 0
-    max_col = 0
-    for a2, b2 in pts2:
-        while i < len(pts1) and pts1[i][0] <= a2:
-            if pts1[i][1] > max_col:
-                max_col = pts1[i][1]
-            i += 1
-        if b2 <= max_col:
-            return False
-    return True
-
-
-def _gamma(nodes: Sequence[Node], row: int) -> int:
-    """Largest column used by ``nodes`` in rows <= row; 0 if none."""
-    cols = [c for r, c in nodes if r <= row]
-    return max(cols) if cols else 0
+    return all(map(right_side(first), second))
 
 
 def _delta(nodes: Sequence[Node], row: int, default: int) -> int:
@@ -122,12 +110,24 @@ def right_side(nodes: Iterable[Node]) -> Callable[[Node], bool]:
     """
     Membership predicate of the region strictly right of the staircase
     profile of ``nodes``: (n, m) belongs iff m exceeds every column the set
-    uses in rows <= n.
+    uses in rows <= n, which holds at once when the set has no node there.
+    A query bisects the sorted rows and reads the running column maximum.
+
+    >>> right_side({(2, 5)})((1, -3))
+    True
     """
     pts = sorted(nodes)
     if not pts:
         raise ValueError("right_side is defined for nonempty node sets")
-    return lambda node: node[1] > _gamma(pts, node[0])
+    rows = [r for r, _ in pts]
+    # highest[i]: the largest column among the first i+1 nodes in row order
+    highest = list(accumulate((c for _, c in pts), max))
+
+    def inside(node: Node) -> bool:
+        i = bisect_right(rows, node[0])
+        return i == 0 or node[1] > highest[i - 1]
+
+    return inside
 
 
 def left_side(nodes: Iterable[Node], host: Diagram) -> Callable[[Node], bool]:

@@ -126,16 +126,27 @@ def check_search_bound(parts: Composition, bound: int | None) -> int:
     return n
 
 
-def _fiber_start(parts: Composition) -> tuple[list[list[int]], list[int]]:
+def _fiber_start(parts: Composition) -> tuple[list[tuple[list[int], ...]], list[int]]:
     """
-    Where both fiber searches start: the rows of Q(w_J) with the values
-    0..n-1, closed by an empty row so that every row has one below it, and
-    the table slot[x] = w_J(x+1) - 1.  The value x that a search ejects at
-    step s writes v[x] = s and e[slot[x]] = s, w_J being an involution.
+    Where both fiber searches start: one bump table per row r of Q(w_J),
+    written with the values 0..n-1, and the table slot[x] = w_J(x+1) - 1.
+    The value x that a search ejects at step s writes v[x] = s and
+    e[slot[x]] = s, w_J being an involution.
+
+    The bump table of row r is (row r, the row below it, the rows above it
+    bottom-up, the rows above it top-down); the last row has an empty row
+    below it.  Its entries are the very lists of the rows, which a search
+    pops, bumps and appends in place, so a pass over the tables reads no
+    row by index.
     """
     w_j = longest_parabolic_element(parts)
     rows = [[x - 1 for x in row] for row in rsk(w_j)[1]]
-    return rows + [[]], [x - 1 for x in w_j]
+    below = rows[1:] + [[]]
+    table = [
+        (row, below[r], tuple(reversed(rows[:r])), tuple(rows[:r]))
+        for r, row in enumerate(rows)
+    ]
+    return table, [x - 1 for x in w_j]
 
 
 def _zone(
@@ -150,41 +161,40 @@ def _zone(
     step s = n, ..., 1 it pops a corner of the remaining shape, and the
     corners chosen run over the standard tableaux of shape λ'.  Tableaux
     sharing their largest entries share those bumps, and backtracking
-    undoes a bump by inserting the ejected value again.  The value x
-    ejected at step s writes v(x) = s and e(w_J(x)) = s, w_J being an
-    involution.  The entries of e are written largest first, so the code
-    vector of e, c_i = #{j < i : e_j > e_i}, counts the positions left of i
-    already written; l(e) is its sum, and the lex-least reduced word of e,
-    the one ``reduced_word`` returns, is the concatenation of the runs
+    undoes a bump by inserting the ejected value again.  Each step loops
+    over the bump tables of ``_fiber_start``: a row whose length exceeds
+    the row below it ends in a corner.  The value x ejected at step s
+    writes v(x) = s and e(w_J(x)) = s, w_J being an involution; the step
+    s = 1, which places the last value, records the element itself.  The
+    entries of e are written largest first, so the code vector of e,
+    c_i = #{j < i : e_j > e_i}, counts the positions left of i already
+    written; l(e) is its sum, and the lex-least reduced word of e, the one
+    ``reduced_word`` returns, is the concatenation of the runs
     (i, i-1, ..., i-c_i+1) over positions i counted from 0.  Q(w_J) has
     descent set J, so every e is a minimal coset representative.
     """
     n = check_search_bound(parts, bound)
-    p, slot = _fiber_start(parts)
-    rows = range(len(p) - 1)
+    table, slot = _fiber_start(parts)
     left = [(1 << i) - 1 for i in range(n)]
     run_of = [[tuple(range(i, i - c, -1)) for c in range(i + 1)] for i in range(n)]
     e, v, runs = [0] * n, [0] * n, [()] * n
     zone = []
 
     def remove(s: int, filled: int, length: int) -> None:
-        if s == 0:
-            zone.append((length, tuple(e), tuple(v), tuple(runs)))
-            return
-        for r in rows:
-            row = p[r]
-            if len(row) > len(p[r + 1]):
+        for row, below, rising, falling in table:
+            if len(row) > len(below):
                 x = row.pop()
-                for above in range(r - 1, -1, -1):
-                    up = p[above]
+                for up in rising:
                     j = bisect_left(up, x) - 1
                     up[j], x = x, up[j]
                 i = slot[x]
                 c = (filled & left[i]).bit_count()
                 e[i], v[x], runs[i] = s, s, run_of[i][c]
-                remove(s - 1, filled | 1 << i, length + c)
-                for above in range(r):
-                    up = p[above]
+                if s == 1:
+                    zone.append((length + c, tuple(e), tuple(v), tuple(runs)))
+                else:
+                    remove(s - 1, filled | 1 << i, length + c)
+                for up in falling:
                     j = bisect_left(up, x)
                     up[j], x = x, up[j]
                 row.append(x)
@@ -201,11 +211,12 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     Compute the rim by search: the elements e of Z admitting no
     length-increasing generator extension e s_k inside Z.
 
-    The search reverse-bumps Q(w_J) a corner at a time, as ``_zone`` does,
-    and records where each value stands: the value x ejected at step s is
-    the position of s in v = w_J e, and slot[x] its position in e.  Right
-    multiplication by s_k swaps the values k and k+1 in e and in v, and
-    lengthens e exactly when k stands left of k+1 in e.  When k-1 or k+2
+    The search reverse-bumps Q(w_J) a corner at a time over the bump
+    tables of ``_fiber_start``, as ``_zone`` does, and records where each
+    value stands: the value x ejected at step s is the position of s in
+    v = w_J e, and slot[x] its position in e.  Right multiplication by s_k
+    swaps the values k and k+1 in e and in v, and lengthens e exactly when
+    k stands left of k+1 in e.  When k-1 or k+2
     stands strictly between k and k+1 in v, that swap is a dual Knuth move,
     which keeps the recording tableau (Knuth 1970; Haiman 1992), so e s_k
     lies in Z.  Once step s places the value s, this test for k = s+1
@@ -222,9 +233,8 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     """
     parts = check_composition(parts)
     n = check_search_bound(parts, bound)
-    p, slot = _fiber_start(parts)
-    q = tuple(tuple(x + 1 for x in row) for row in p[:-1])
-    rows = range(len(p) - 1)
+    table, slot = _fiber_start(parts)
+    q = tuple(tuple(x + 1 for x in row) for row, *_ in table)
     # where the values 0..n+1 stand in v and in e; 0 and n+1 stand nowhere,
     # so they are never between two positions
     in_v, in_e = [-1] * (n + 2), [-1] * (n + 2)
@@ -254,20 +264,17 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
                         return
             rim.append(tuple(e))
             return
-        for r in rows:
-            row = p[r]
-            if len(row) > len(p[r + 1]):
+        for row, below, rising, falling in table:
+            if len(row) > len(below):
                 x = row.pop()
-                for above in range(r - 1, -1, -1):
-                    up = p[above]
+                for up in rising:
                     j = bisect_left(up, x) - 1
                     up[j], x = x, up[j]
                 i = slot[x]
                 in_v[s], in_e[s], v[x], e[i] = x, i, s, s
                 if not extends(s + 1):
                     remove(s - 1)
-                for above in range(r):
-                    up = p[above]
+                for up in falling:
                     j = bisect_left(up, x)
                     up[j], x = x, up[j]
                 row.append(x)

@@ -33,6 +33,13 @@ CELL_DIGESTS = {
     "text": "8656851cf1e27a005e8d986105f367f3bc14b48453359244e110afbe608fbec6",
 }
 
+# sha256 of the stdout of `klrim cell --composition 1,3,2,1,3,2 --max-n 12
+# --format <format>`: 2673 elements, a composition with no closed form
+CELL_12_DIGESTS = {
+    "json": "5e523df35f0e9a028737fde7e5848455095107d2466d50799e2fef4747085539",
+    "text": "a85421b8c0ad92dc4aad26c133314d4c51a5e399f938b98f02abdde505705d4c",
+}
+
 # sha256 of exit code and stdout over calculus_inputs(): `order-path`, then
 # `order-path --parts k` for the input's k, on each k-path; `admissible
 # --format json` on each diagram
@@ -106,6 +113,27 @@ def test_order_path_on_a_nonpositive_column_exits_instead_of_hanging():
     )
     assert (run.returncode, run.stdout) == (2, b"")
     assert run.stderr == b"error: k-path coordinates are 1-based positive: (1, -1)\n"
+
+
+def test_python_m_klrim_runs_the_command_line():
+    # the child process exits through entry_point's sys.exit, which the
+    # in-process tests never reach
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.pop("KLRIM_MAX_N", None)
+
+    def klrim(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "klrim", *argv], capture_output=True, env=env, timeout=30
+        )
+
+    cell = klrim("cell", "--composition", "2,1", "--format", "json")
+    assert (cell.returncode, cell.stderr) == (0, b"")
+    assert len(cell.stdout.splitlines()) == 2
+    bad = klrim("rim", "--composition", "0")
+    assert (bad.returncode, bad.stdout) == (2, b"")
+    lines = bad.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def calculus_inputs():
@@ -210,6 +238,25 @@ def test_cell_output_is_pinned_byte_for_byte(fmt):
             assert code == 0
             digest.update(out.encode())
     assert digest.hexdigest() == CELL_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(CELL_12_DIGESTS))
+def test_an_n12_cell_is_pinned_byte_for_byte(fmt):
+    code, out = run(["cell", "--composition", "1,3,2,1,3,2", "--max-n", "12", "--format", fmt])
+    assert code == 0 and out.count("\n") == 2673
+    assert hashlib.sha256(out.encode()).hexdigest() == CELL_12_DIGESTS[fmt]
+
+
+def test_cell_json_lines_are_the_json_dumps_text():
+    cases = [(parts, None) for n in range(1, 9) for parts in compositions_of(n)]
+    for parts, bound in cases + [((1, 3, 2, 1, 3, 2), 12)]:
+        argv = ["cell", "--composition", ",".join(map(str, parts)), "--format", "json"]
+        code, out = run(argv + (["--max-n", str(bound)] if bound else []))
+        expected = [
+            json.dumps({"row_form": list(w), "reduced_word": list(word)})
+            for w, word in rims.cell_elements(parts, bound)
+        ]
+        assert code == 0 and out.splitlines() == expected, parts
 
 
 def test_cell_count_only_counts_the_streamed_elements(capsys):

@@ -84,11 +84,29 @@ def test_precedes_examples():
     # both directions can hold at once
     assert precedes({(1, 1)}, {(2, 2)})
     assert precedes({(2, 2)}, {(1, 1)})
+    # any integer coordinates; with no node of the first set in rows <= 1,
+    # the condition holds vacuously for (1, -3)
+    assert precedes({(1, -1)}, {(2, 0)})
+    assert precedes({(2, 5)}, {(1, -3)})
     # never reflexive
     for nodes in [{(1, 1)}, {(1, 2), (2, 1)}, set(SEVEN_PATH[0])]:
         assert not precedes(nodes, nodes)
     with pytest.raises(ValueError):
         precedes(set(), {(1, 1)})
+
+
+node_sets = st.frozensets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=8)
+
+
+@given(node_sets, node_sets)
+def test_precedes_and_right_side_follow_their_definition_on_any_coordinates(first, second):
+    def right_of_first(node):
+        return all(b1 < node[1] for a1, b1 in first if a1 <= node[0])
+
+    in_right = right_side(first)
+    for node in second:
+        assert in_right(node) == right_of_first(node), node
+    assert precedes(first, second) == all(map(right_of_first, second))
 
 
 def _random_subsets(rng, diagram):
