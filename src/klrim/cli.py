@@ -26,14 +26,13 @@ import os
 import sys
 from typing import Any, Sequence
 
-from .compositions import Composition, check_composition
-from .diagrams import Diagram, Node, is_admissible, subsequence_type
+from .compositions import Composition, check_composition, conjugate
+from .diagrams import Diagram, Node, subsequence_type
 from .paths import KPath, order_kpath
 from .permutations import reduced_word
 from .rims import (
     DEFAULT_SEARCH_BOUND,
     RimResult,
-    SearchBoundExceeded,
     THEOREMS,
     cell_elements,
     cell_size,
@@ -208,7 +207,7 @@ def _cmd_cell(args: argparse.Namespace, out) -> int:
     bound = _resolve_bound(args.max_n)
     # checked before any work for every output: cell_elements is a generator
     # and checks only once it is first advanced
-    check_search_bound(parts, bound)
+    check_search_bound(sum(parts), bound)
     if args.count_only:
         print(cell_size(parts), file=out)
         return EXIT_OK
@@ -241,8 +240,9 @@ def _cmd_admissible(args: argparse.Namespace, out, stdin) -> int:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed diagram JSON: {exc}")
     diagram = diagram_from_json(data)
-    admissible = is_admissible(diagram)
+    # is_admissible, with the one insertion that the type needs anyway
     seq_type = subsequence_type(diagram)
+    admissible = seq_type == conjugate(diagram.row_composition)
     if args.format == "json":
         print(
             json.dumps(
@@ -282,11 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, composition=True):
-        if composition:
-            p.add_argument(
-                "--composition", required=True, help="comma-separated parts, e.g. 2,1"
-            )
+    def add_common(p):
+        p.add_argument(
+            "--composition", required=True, help="comma-separated parts, e.g. 2,1"
+        )
         p.add_argument(
             "--format", choices=("json", "text"), default="text", help="output format"
         )
@@ -354,7 +353,7 @@ def main(argv: Sequence[str] | None = None, stdin=None, stdout=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, out)
         raise RuntimeError(f"unhandled command {args.command}")
-    except (SearchBoundExceeded, ValueError) as exc:
+    except ValueError as exc:  # SearchBoundExceeded included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,17 +14,12 @@ Z holds the minimal coset representatives e with Q(w_J e) = Q(w_J); by the
 characterization the diagram calculus rests on, e lies in Z exactly when
 ``is_admissible(diagram_from_element(e, λ))``.
 
-Z comes from the Robinson-Schensted fiber {v : Q(v) = Q(w_J)}, whose
-elements are the inverses of the u with P(u) = Q(w_J) (Schützenberger's
-symmetry P(v^-1) = Q(v)).  A depth-first search reverse-bumps the fixed
-tableau Q(w_J), a corner at a time, and each ejected value writes one
-entry of v = w_J e and of e.  ``cell_elements`` walks all of the fiber and
-also writes the code vector of e, whose entries count the inversions
-ending at each position of e; the code gives l(e) and the lex-least
-reduced word of e, so no per-element word or product is needed.
-``rim_search`` walks the same fiber but cuts every subtree whose elements
-a dual Knuth move shows to have an extension inside Z, and tests only the
-leaves that survive exactly; it never holds Z.  The cell size needs no
+Both searches are one walk, ``_fiber``, of the Robinson-Schensted fiber
+{v : Q(v) = Q(w_J)} = w_J Z, with two callbacks.  ``cell_elements``
+records every element, with the code vector of e, which gives l(e) and
+the lex-least reduced word of e.  ``rim_search`` cuts every subtree whose
+elements a dual Knuth move shows to have an extension inside Z, and tests
+the leaves that survive exactly; it never holds Z.  The cell size needs no
 search: it is f^{λ'}, the number of standard tableaux of the shape of
 Q(w_J), by the hook-length formula.
 """
@@ -55,6 +50,7 @@ from .diagrams import (
 )
 from .permutations import (
     Perm,
+    Tableau,
     Word,
     longest_parabolic_element,
     reduced_word,
@@ -64,6 +60,9 @@ from .permutations import (
 DEFAULT_SEARCH_BOUND = 10
 
 THEOREMS = ("T2.16a", "T3.5a", "T3.7a", "T3.15a", "C3.16a", "P3.2a")
+
+# place(s, x, i, filled) -> whether the walk goes below step s; see _fiber
+Place = Callable[[int, int, int, int], bool]
 
 
 class SearchBoundExceeded(ValueError):
@@ -112,12 +111,11 @@ def _result_from_diagrams(parts: Composition, diagrams: Iterable[Diagram]) -> Ri
     )
 
 
-def check_search_bound(parts: Composition, bound: int | None) -> int:
+def check_search_bound(n: int, bound: int | None) -> int:
     """
-    n for the composition, after refusing an n past ``bound`` (by default
+    n, after refusing an n past ``bound`` (by default
     ``DEFAULT_SEARCH_BOUND``) with SearchBoundExceeded.
     """
-    n = sum(parts)
     bound = DEFAULT_SEARCH_BOUND if bound is None else bound
     if n > bound:
         raise SearchBoundExceeded(
@@ -126,83 +124,99 @@ def check_search_bound(parts: Composition, bound: int | None) -> int:
     return n
 
 
-def _fiber_start(parts: Composition) -> tuple[list[tuple[list[int], ...]], list[int]]:
+def _fiber(
+    parts: Composition, bound: int | None
+) -> tuple[Tableau, Callable[[Place], None]]:
     """
-    Where both fiber searches start: one bump table per row r of Q(w_J),
-    written with the values 0..n-1, and the table slot[x] = w_J(x+1) - 1.
-    The value x that a search ejects at step s writes v[x] = s and
-    e[slot[x]] = s, w_J being an involution.
+    Q(w_J) and a depth-first walk of the Robinson-Schensted fiber
+    {v : Q(v) = Q(w_J)}, the elements w_J e for e in Z: ``walk(place)``
+    calls ``place(s, x, i, filled)`` after each ejection.  The bound is
+    checked before anything of size n is built.
 
-    The bump table of row r is (row r, the row below it, the rows above it
-    bottom-up, the rows above it top-down); the last row has an empty row
-    below it.  Its entries are the very lists of the rows, which a search
-    pops, bumps and appends in place, so a pass over the tables reads no
-    row by index.
+    The fiber holds the inverses of {u : P(u) = Q(w_J)} (Schützenberger's
+    symmetry P(v^-1) = Q(v)), so the walk reverse-bumps the fixed tableau
+    Q(w_J), written with the values 0..n-1: at step s = n, ..., 1 it pops a
+    corner of the remaining shape, and the corners chosen run over the
+    standard tableaux of shape λ'.  Tableaux sharing their largest entries
+    share those bumps, and backtracking undoes a bump by inserting the
+    ejected value again.  The value x ejected at step s is the position of
+    s in v = w_J e, and i = w_J(x+1) - 1 the position of s in e, w_J being
+    an involution; ``filled`` has the bits of the positions of e written
+    before step s.  The walk goes below step s only when ``place`` returns
+    true and s > 1, so ``place`` sees every element at s = 1.  Q(w_J) has
+    descent set J, so every e is a minimal coset representative.
+
+    Each row of Q(w_J) has a bump table: the row, the row below it (empty
+    for the last row), the rows above it bottom-up and top-down.  A row
+    longer than the row below it ends in a corner.  The tables hold the very
+    lists of the rows, popped, bumped and appended in place, so a step
+    reads no row by index.
     """
+    n = check_search_bound(sum(parts), bound)
     w_j = longest_parabolic_element(parts)
-    rows = [[x - 1 for x in row] for row in rsk(w_j)[1]]
+    q = rsk(w_j)[1]
+    rows = [[x - 1 for x in row] for row in q]
     below = rows[1:] + [[]]
     table = [
         (row, below[r], tuple(reversed(rows[:r])), tuple(rows[:r]))
         for r, row in enumerate(rows)
     ]
-    return table, [x - 1 for x in w_j]
+    slot = [x - 1 for x in w_j]
+
+    def walk(place: Place) -> None:
+        def remove(s: int, filled: int) -> None:
+            for row, below, rising, falling in table:
+                if len(row) > len(below):
+                    x = row.pop()
+                    for up in rising:
+                        j = bisect_left(up, x) - 1
+                        up[j], x = x, up[j]
+                    i = slot[x]
+                    if place(s, x, i, filled) and s > 1:
+                        remove(s - 1, filled | 1 << i)
+                    for up in falling:
+                        j = bisect_left(up, x)
+                        up[j], x = x, up[j]
+                    row.append(x)
+
+        remove(n, 0)
+        # remove's closure holds remove itself; unbinding it breaks that
+        # cycle, so what place kept is freed by its last reader, not by a
+        # later cyclic collection
+        del remove
+
+    return q, walk
 
 
 def _zone(
     parts: Composition, bound: int | None
 ) -> list[tuple[int, Perm, Perm, tuple[Word, ...]]]:
     """
-    Every element e of Z, in search order, as (l(e), e, w_J e, runs): the
-    reduced word of e is the concatenation of ``runs``.
-
-    The fiber {v : Q(v) = Q(w_J)} holds the inverses of {u : P(u) = Q(w_J)},
-    so one depth-first search reverse-bumps the fixed tableau Q(w_J): at
-    step s = n, ..., 1 it pops a corner of the remaining shape, and the
-    corners chosen run over the standard tableaux of shape λ'.  Tableaux
-    sharing their largest entries share those bumps, and backtracking
-    undoes a bump by inserting the ejected value again.  Each step loops
-    over the bump tables of ``_fiber_start``: a row whose length exceeds
-    the row below it ends in a corner.  The value x ejected at step s
-    writes v(x) = s and e(w_J(x)) = s, w_J being an involution; the step
-    s = 1, which places the last value, records the element itself.  The
-    entries of e are written largest first, so the code vector of e,
-    c_i = #{j < i : e_j > e_i}, counts the positions left of i already
-    written; l(e) is its sum, and the lex-least reduced word of e, the one
-    ``reduced_word`` returns, is the concatenation of the runs
-    (i, i-1, ..., i-c_i+1) over positions i counted from 0.  Q(w_J) has
-    descent set J, so every e is a minimal coset representative.
+    Every element e of Z, in walk order, as (l(e), e, w_J e, runs): the
+    reduced word of e is the concatenation of ``runs``.  The walk of
+    ``_fiber`` writes the entries of e largest first, so the code vector
+    of e, c_i = #{j < i : e_j > e_i}, counts the positions left of i
+    already written; l(e) is its sum, and the lex-least reduced word of e,
+    the one ``reduced_word`` returns, is the concatenation of the runs
+    (i, i-1, ..., i-c_i+1) over positions i counted from 0.
     """
-    n = check_search_bound(parts, bound)
-    table, slot = _fiber_start(parts)
+    _, walk = _fiber(parts, bound)
+    n = sum(parts)
     left = [(1 << i) - 1 for i in range(n)]
     run_of = [[tuple(range(i, i - c, -1)) for c in range(i + 1)] for i in range(n)]
     e, v, runs = [0] * n, [0] * n, [()] * n
+    length = [0] * (n + 2)  # length[s]: the code entries written by steps n..s
     zone = []
 
-    def remove(s: int, filled: int, length: int) -> None:
-        for row, below, rising, falling in table:
-            if len(row) > len(below):
-                x = row.pop()
-                for up in rising:
-                    j = bisect_left(up, x) - 1
-                    up[j], x = x, up[j]
-                i = slot[x]
-                c = (filled & left[i]).bit_count()
-                e[i], v[x], runs[i] = s, s, run_of[i][c]
-                if s == 1:
-                    zone.append((length + c, tuple(e), tuple(v), tuple(runs)))
-                else:
-                    remove(s - 1, filled | 1 << i, length + c)
-                for up in falling:
-                    j = bisect_left(up, x)
-                    up[j], x = x, up[j]
-                row.append(x)
+    def place(s: int, x: int, i: int, filled: int) -> bool:
+        c = (filled & left[i]).bit_count()
+        e[i], v[x], runs[i] = s, s, run_of[i][c]
+        length[s] = length[s + 1] + c
+        if s == 1:
+            zone.append((length[1], tuple(e), tuple(v), tuple(runs)))
+        return True
 
-    remove(n, 0, 0)
-    # remove's closure holds remove itself; unbinding it breaks that cycle,
-    # so Z is freed by its last reader, not by a later cyclic collection
-    del remove
+    walk(place)
     return zone
 
 
@@ -211,20 +225,17 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     Compute the rim by search: the elements e of Z admitting no
     length-increasing generator extension e s_k inside Z.
 
-    The search reverse-bumps Q(w_J) a corner at a time over the bump
-    tables of ``_fiber_start``, as ``_zone`` does, and records where each
-    value stands: the value x ejected at step s is the position of s in
-    v = w_J e, and slot[x] its position in e.  Right multiplication by s_k
-    swaps the values k and k+1 in e and in v, and lengthens e exactly when
-    k stands left of k+1 in e.  When k-1 or k+2
-    stands strictly between k and k+1 in v, that swap is a dual Knuth move,
-    which keeps the recording tableau (Knuth 1970; Haiman 1992), so e s_k
-    lies in Z.  Once step s places the value s, this test for k = s+1
+    The search walks the fiber of ``_fiber`` and never holds Z.  Right
+    multiplication by s_k swaps the values k and k+1 in e and in v = w_J e,
+    and lengthens e exactly when k stands left of k+1 in e.  When k-1 or
+    k+2 stands strictly between k and k+1 in v, that swap is a dual Knuth
+    move, which keeps the recording tableau (Knuth 1970; Haiman 1992), so
+    e s_k lies in Z.  Once step s places the value s, this test for k = s+1
     depends only on values already placed, so it holds for every element
     below and the subtree is cut; k = 1 is tested at the leaf.  The test is
     sufficient but not necessary (v = (1, 4, 2, 5, 3), k = 1 keeps Q(v)
     without a witness), so each ascent k of a surviving leaf is tested
-    exactly: Q(v s_k) == Q(w_J).  Only the survivors are kept, never Z.
+    exactly: Q(v s_k) == Q(w_J).  Only the survivors are kept.
 
     >>> rim_search((2, 1)).rim
     ((1, 3, 2),)
@@ -232,55 +243,40 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     ((2, 1, 3),)
     """
     parts = check_composition(parts)
-    n = check_search_bound(parts, bound)
-    table, slot = _fiber_start(parts)
-    q = tuple(tuple(x + 1 for x in row) for row, *_ in table)
+    q, walk = _fiber(parts, bound)
+    n = sum(parts)
     # where the values 0..n+1 stand in v and in e; 0 and n+1 stand nowhere,
     # so they are never between two positions
     in_v, in_e = [-1] * (n + 2), [-1] * (n + 2)
     e, v = [0] * n, [0] * n
+    # the k tested for a witness once step s has placed s: s+1, and at the
+    # leaf s = 1 also k = 1
+    witnessed = [(), (2, 1)] + [(s + 1,) for s in range(2, n + 1)]
     rim = []
 
-    def extends(k: int) -> bool:
-        # k is an ascent of e, and k-1 or k+2 witnesses Q(v s_k) = Q(v)
-        if k >= n or in_e[k] > in_e[k + 1]:
-            return False
-        a, b = in_v[k], in_v[k + 1]
-        if a > b:
-            a, b = b, a
-        return a < in_v[k - 1] < b or a < in_v[k + 2] < b
+    def place(s: int, x: int, i: int, filled: int) -> bool:
+        in_v[s], in_e[s], v[x], e[i] = x, i, s, s
+        for k in witnessed[s]:
+            if k < n and in_e[k] < in_e[k + 1]:
+                a, b = in_v[k], in_v[k + 1]
+                if a > b:
+                    a, b = b, a
+                if a < in_v[k - 1] < b or a < in_v[k + 2] < b:
+                    return False
+        if s > 1:
+            return True
+        for k in range(1, n):
+            if in_e[k] < in_e[k + 1]:
+                a, b = in_v[k], in_v[k + 1]
+                v[a], v[b] = k + 1, k
+                same = rsk(v)[1] == q
+                v[a], v[b] = k, k + 1
+                if same:
+                    return False
+        rim.append(tuple(e))
+        return False
 
-    def remove(s: int) -> None:
-        if s == 0:
-            if extends(1):
-                return
-            for k in range(1, n):
-                if in_e[k] < in_e[k + 1]:
-                    a, b = in_v[k], in_v[k + 1]
-                    v[a], v[b] = k + 1, k
-                    same = rsk(v)[1] == q
-                    v[a], v[b] = k, k + 1
-                    if same:
-                        return
-            rim.append(tuple(e))
-            return
-        for row, below, rising, falling in table:
-            if len(row) > len(below):
-                x = row.pop()
-                for up in rising:
-                    j = bisect_left(up, x) - 1
-                    up[j], x = x, up[j]
-                i = slot[x]
-                in_v[s], in_e[s], v[x], e[i] = x, i, s, s
-                if not extends(s + 1):
-                    remove(s - 1)
-                for up in falling:
-                    j = bisect_left(up, x)
-                    up[j], x = x, up[j]
-                row.append(x)
-
-    remove(n)
-    del remove  # break the closure cycle, as in _zone
+    walk(place)
     diagrams = tuple(_diagram_from_element(y, parts) for y in rim)
     return RimResult(parts, tuple(rim), diagrams, tuple(map(is_special, diagrams)))
 
@@ -658,9 +654,7 @@ def verify_theorems(
     for theorem in theorems:
         if theorem not in _CHECKERS:
             raise ValueError(f"unknown rule {theorem!r}; choose from {THEOREMS}")
-    bound = DEFAULT_SEARCH_BOUND if bound is None else bound
-    if max_n > bound:
-        raise SearchBoundExceeded(f"max_n={max_n} exceeds the search bound {bound}")
+    check_search_bound(max_n, bound)
     searched: dict[Composition, RimResult] = {}
 
     def search(parts: Composition) -> RimResult:

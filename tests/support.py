@@ -120,7 +120,7 @@ def bfs_zone(parts) -> list[Perm]:
     one-generator length-increasing extensions, each candidate tested for
     being a coset representative with the recording tableau of w_J.  Z is
     prefix-closed, so the search reaches everything.  Independent of the
-    inverse insertion behind ``rims._zone``.
+    fiber walk ``rims._fiber`` behind ``rims._zone``.
     """
     n = sum(parts)
     w_j = longest_parabolic_element(parts)
@@ -148,7 +148,7 @@ def inverse_insertion_zone(parts) -> list[Perm]:
     Z for the composition, sorted, as w_J * rsk_inverse(P, Q(w_J)) for P
     running over the standard tableaux of shape λ' from
     ``standard_tableaux``: the validated primitives one call per element,
-    the reference for the fused kernel behind ``rims._zone``.
+    the reference for the fiber walk ``rims._fiber`` behind ``rims._zone``.
     """
     w_j = longest_parabolic_element(parts)
     q_ref = rsk(w_j)[1]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import klrim.diagrams as diagrams
 import klrim.rims as rims
 from klrim.cli import (
     diagram_from_json,
@@ -281,6 +282,13 @@ def test_cell_refuses_a_huge_composition_before_any_work(output, capsys):
     )
 
 
+def test_rim_refuses_a_huge_composition_before_any_work(capsys):
+    assert run(["rim", "--composition", "1000000000000", "--max-n", "8"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: n=1000000000000 exceeds the search bound 8; raise the bound explicitly\n"
+    )
+
+
 def test_order_path_round_trip():
     seven = {
         "paths": [
@@ -328,6 +336,22 @@ def test_admissible_command():
     code, out = run(["admissible"], stdin_text='{"nodes": [[1, 2], [2, 1]]}')
     assert code == 0
     assert out == "admissible: no\nsubsequence type: 1,1\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_admissible_inserts_once_per_call(fmt, monkeypatch):
+    calls = []
+    real_rsk = diagrams.rsk
+
+    def counting_rsk(word):
+        calls.append(word)
+        return real_rsk(word)
+
+    monkeypatch.setattr(diagrams, "rsk", counting_rsk)
+    for nodes in ([[1, 1], [1, 2], [2, 1]], [[1, 2], [2, 1]]):
+        calls.clear()
+        assert run(["admissible", "--format", fmt], json.dumps({"nodes": nodes}))[0] == 0
+        assert len(calls) == 1
 
 
 def test_verify_pass_and_output():

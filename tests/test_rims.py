@@ -393,6 +393,14 @@ def test_search_bound():
     assert rim_search((11,), bound=11).rim == (identity(11),)
 
 
+def test_the_search_bound_is_checked_before_any_work():
+    # past the check, n = 10**12 would build lists of that length
+    with pytest.raises(SearchBoundExceeded, match="^n=1000000000000 exceeds the search bound 8"):
+        rim_search((10**12,), bound=8)
+    with pytest.raises(SearchBoundExceeded, match="^n=1000000000000 exceeds the search bound 8"):
+        next(cell_elements((10**12,), 8))
+
+
 def test_rim_result_validation():
     with pytest.raises(ValueError):
         RimResult((2, 1), ((1, 3, 2),), (), ())
@@ -405,7 +413,7 @@ def test_verify_theorem_reports():
         assert report.checks
     with pytest.raises(ValueError):
         verify_theorem("T9.99", max_n=5)
-    with pytest.raises(SearchBoundExceeded):
+    with pytest.raises(SearchBoundExceeded, match="^n=11 exceeds the search bound 10"):
         verify_theorem("T2.16a", max_n=11)
 
 
