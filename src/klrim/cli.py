@@ -26,8 +26,8 @@ import os
 import sys
 from typing import Any, Sequence
 
-from .compositions import Composition, check_composition, conjugate
-from .diagrams import Diagram, Node, subsequence_type
+from .compositions import Composition, check_composition
+from .diagrams import Diagram, Node, is_admissible, subsequence_type
 from .paths import KPath, order_kpath
 from .permutations import reduced_word
 from .rims import (
@@ -240,9 +240,9 @@ def _cmd_admissible(args: argparse.Namespace, out, stdin) -> int:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed diagram JSON: {exc}")
     diagram = diagram_from_json(data)
-    # is_admissible, with the one insertion that the type needs anyway
+    # both read the type the diagram computes once
+    admissible = is_admissible(diagram)
     seq_type = subsequence_type(diagram)
-    admissible = seq_type == conjugate(diagram.row_composition)
     if args.format == "json":
         print(
             json.dumps(

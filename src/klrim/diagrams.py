@@ -8,6 +8,11 @@ the permutation carrying the first filling to the second is
 ``w_of_diagram``.  Standard fillings of a diagram biject with the weak-order
 prefixes of that permutation, which is what makes diagrams a tool for
 producing reduced forms.
+
+A diagram's subsequence type, which decides admissibility, is computed
+once per diagram and kept on it: one shape-only Robinson-Schensted
+insertion, with no recording tableau, serves both ``subsequence_type`` and
+``is_admissible``.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import Composition, _conjugate, check_composition, check_partition
-from .permutations import Perm, Word, check_permutation, is_coset_rep, length, rsk
+from .permutations import Perm, Word, check_permutation, is_coset_rep, length, shape
 
 Node = tuple[int, int]
 
@@ -76,6 +81,17 @@ class Diagram:
             counts[c - 1] += 1
         return tuple(counts)
 
+    @cached_property
+    def subsequence_type(self) -> Composition:
+        """The shape of w_J·w_D; see the function ``subsequence_type``."""
+        w_d = w_of_diagram(self)
+        word: list[int] = []
+        hi = 0
+        for size in self.row_composition:
+            lo, hi = hi, hi + size
+            word.extend(reversed(w_d[lo:hi]))
+        return shape(word)
+
     def __contains__(self, node: Node) -> bool:
         return node in self.node_set
 
@@ -123,14 +139,16 @@ def w_of_diagram(diagram: Diagram) -> Perm:
 
     Because the row filling is the identity labelling, the row-form of w is
     just the column filling read in row-major order: entry i is the rank of
-    node i when the nodes are sorted by (column, row).
+    node i when the nodes are sorted by (column, row).  The nodes are
+    row-major, so a stable sort of their indices by column alone keeps the
+    rows of each column in order.
 
     >>> w_of_diagram(young_diagram((2, 1)))
     (1, 3, 2)
     """
-    nodes = diagram.nodes
-    by_column = sorted(range(len(nodes)), key=lambda i: nodes[i][::-1])
-    w = [0] * len(nodes)
+    column_of = [c for _, c in diagram.nodes]
+    by_column = sorted(range(len(column_of)), key=column_of.__getitem__)
+    w = [0] * len(column_of)
     for e, i in enumerate(by_column, start=1):
         w[i] = e
     return tuple(w)
@@ -336,24 +354,19 @@ def complete_prefix(u: Sequence[int], diagram: Diagram) -> Word:
 def subsequence_type(diagram: Diagram) -> Composition:
     """
     The partition whose k-th prefix sum is the maximum number of nodes
-    coverable by k disjoint paths, computed through the Robinson-Schensted
+    coverable by k disjoint paths, computed as the Robinson-Schensted
     shape of the associated permutation w_J·w_D.  Left multiplication by
     w_J, the longest element of the row composition's Young subgroup,
     reverses each row's block of the row-form of w_D = ``w_of_diagram``.
+    The shape comes from row insertion alone, once per diagram: it is kept
+    on the diagram, and ``is_admissible`` reads the same value.
 
     >>> subsequence_type(young_diagram((2, 2)))
     (2, 2)
     >>> subsequence_type(Diagram(((1, 2), (2, 1))))
     (1, 1)
     """
-    w_d = w_of_diagram(diagram)
-    word: list[int] = []
-    hi = 0
-    for size in diagram.row_composition:
-        lo, hi = hi, hi + size
-        word.extend(reversed(w_d[lo:hi]))
-    p, _ = rsk(word)
-    return tuple(len(row) for row in p)
+    return diagram.subsequence_type
 
 
 def is_admissible(diagram: Diagram) -> bool:
@@ -366,4 +379,4 @@ def is_admissible(diagram: Diagram) -> bool:
     >>> is_admissible(Diagram(((1, 2), (2, 1))))
     False
     """
-    return subsequence_type(diagram) == _conjugate(diagram.row_composition)
+    return diagram.subsequence_type == _conjugate(diagram.row_composition)

@@ -9,7 +9,10 @@ constituents are pairwise related this way; ``is_ordered`` decides that in
 one sweep over the constituents.  Every k-path can be rearranged into an
 equivalent ordered one by repeatedly peeling a maximal "staircase" path off
 the support; ``order_kpath`` implements that rearrangement, peeling from
-per-row buckets of columns built once.  Coordinates are 1-based positive.
+per-row buckets of columns built once.  Its peels are paths on the input's
+support by construction, so the result is built without the constructor's
+checks; only the result's order and support are checked.  Coordinates are
+1-based positive.
 """
 from __future__ import annotations
 
@@ -61,6 +64,17 @@ class KPath:
             if outside:
                 raise ValueError(f"nodes outside the host diagram: {sorted(outside)}")
         object.__setattr__(self, "paths", paths)
+
+    @classmethod
+    def _trusted(cls, paths: tuple[Path, ...], host: Diagram | None) -> KPath:
+        """
+        A k-path from paths known to pass every check of ``__post_init__``:
+        tuples of int pairs, forming disjoint paths inside ``host``.
+        """
+        kpath = object.__new__(cls)
+        object.__setattr__(kpath, "paths", paths)
+        object.__setattr__(kpath, "host", host)
+        return kpath
 
     @property
     def k(self) -> int:
@@ -249,6 +263,10 @@ def order_kpath(kpath: KPath, parts: int | None = None) -> KPath:
     front of the sequence, the surplus nodes becoming singleton paths, so
     that the result has exactly ``parts`` constituents.
 
+    The peels and their splits are paths, disjoint, and cover the input's
+    support, so the result skips the constructor's checks; whether it is
+    ordered and keeps the support is still checked.
+
     >>> order_kpath(KPath((((1, 2),), ((1, 1), (2, 1)),))).paths
     (((1, 1), (2, 1)), ((1, 2),))
     """
@@ -278,7 +296,7 @@ def order_kpath(kpath: KPath, parts: int | None = None) -> KPath:
         if extra > 0:
             raise ValueError(f"support has fewer than {parts} nodes")
 
-    result = KPath(tuple(constituents), host=kpath.host)
+    result = KPath._trusted(tuple(constituents), kpath.host)
     if not (is_ordered(result) and result.support == kpath.support):
         raise RuntimeError("peeling must give an ordered k-path on the same support")
     return result

@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 from .compositions import (
     Composition,
     check_composition,
-    check_partition,
     partial_sums,
 )
 
@@ -215,10 +214,28 @@ def is_coset_rep(e: Sequence[int], parts: Iterable[int]) -> bool:
     )
 
 
+def _insert(rows: list[list[int]], x: int) -> int:
+    """
+    Row-insert x into the tableau rows, in place; returns the index of the
+    row where the new box lands, which may be a new last row.
+    """
+    r = 0  # counted by hand: an enumerate per insertion costs more
+    for row in rows:
+        j = bisect_left(row, x)
+        if j == len(row):
+            row.append(x)
+            return r
+        row[j], x = x, row[j]
+        r += 1
+    rows.append([x])
+    return r
+
+
 def rsk(w: Sequence[int]) -> tuple[Tableau, Tableau]:
     """
     Robinson-Schensted row insertion of the row-form; returns the pair
-    (insertion tableau, recording tableau).
+    (insertion tableau, recording tableau).  Each step records its index
+    in the row where ``_insert`` lands the new box.
 
     >>> rsk((2, 1, 3))
     (((1, 3), (2,)), ((1, 3), (2,)))
@@ -228,15 +245,10 @@ def rsk(w: Sequence[int]) -> tuple[Tableau, Tableau]:
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for step, x in enumerate(w, start=1):
-        for r, row in enumerate(p_rows):
-            j = bisect_left(row, x)
-            if j == len(row):
-                row.append(x)
-                q_rows[r].append(step)
-                break
-            row[j], x = x, row[j]
+        r = _insert(p_rows, x)
+        if r < len(q_rows):
+            q_rows[r].append(step)
         else:
-            p_rows.append([x])
             q_rows.append([step])
     return tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
 
@@ -293,12 +305,17 @@ def is_standard_young_tableau(rows: Sequence[Sequence[int]]) -> bool:
 
 def shape(w: Sequence[int]) -> Composition:
     """
-    The common shape of the Robinson-Schensted pair of w, as a partition.
+    The common shape of the Robinson-Schensted pair of w, as a partition:
+    row insertion alone, with no recording tableau.  By Schensted's theorem
+    the first row is as long as the longest increasing subsequence of w and
+    the row count is the length of the longest decreasing one.
 
     >>> shape((2, 1, 3))
     (2, 1)
     >>> shape(longest_element(4))
     (1, 1, 1, 1)
     """
-    p, _ = rsk(w)
-    return check_partition(tuple(len(row) for row in p))
+    rows: list[list[int]] = []
+    for x in w:
+        _insert(rows, x)
+    return tuple(map(len, rows))

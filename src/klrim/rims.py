@@ -25,6 +25,7 @@ Q(w_J), by the hook-length formula.
 """
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -63,6 +64,10 @@ THEOREMS = ("T2.16a", "T3.5a", "T3.7a", "T3.15a", "C3.16a", "P3.2a")
 
 # place(s, x, i, filled) -> whether the walk goes below step s; see _fiber
 Place = Callable[[int, int, int, int], bool]
+
+# frames stacked above the walk's deepest step: place, and what place calls,
+# with room for a tracer's wrappers
+_WALK_FRAME_MARGIN = 50
 
 
 class SearchBoundExceeded(ValueError):
@@ -124,14 +129,35 @@ def check_search_bound(n: int, bound: int | None) -> int:
     return n
 
 
+def _check_walk_depth(n: int) -> None:
+    """
+    Refuse, with SearchBoundExceeded, an n that the fiber walk cannot reach
+    from the caller's stack: it recurses once per step, and Python stops at
+    its recursion limit.
+    """
+    depth = 0
+    frame = sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    reach = limit - depth - _WALK_FRAME_MARGIN
+    if n > reach:
+        raise SearchBoundExceeded(
+            f"n={n} exceeds the depth {reach} that the recursive fiber walk can "
+            f"reach under Python's recursion limit {limit}"
+        )
+
+
 def _fiber(
     parts: Composition, bound: int | None
 ) -> tuple[Tableau, Callable[[Place], None]]:
     """
     Q(w_J) and a depth-first walk of the Robinson-Schensted fiber
     {v : Q(v) = Q(w_J)}, the elements w_J e for e in Z: ``walk(place)``
-    calls ``place(s, x, i, filled)`` after each ejection.  The bound is
-    checked before anything of size n is built.
+    calls ``place(s, x, i, filled)`` after each ejection.  The bound, and
+    the depth the recursive walk can reach, are checked before anything of
+    size n is built.
 
     The fiber holds the inverses of {u : P(u) = Q(w_J)} (Schützenberger's
     symmetry P(v^-1) = Q(v)), so the walk reverse-bumps the fixed tableau
@@ -153,6 +179,7 @@ def _fiber(
     reads no row by index.
     """
     n = check_search_bound(sum(parts), bound)
+    _check_walk_depth(n)
     w_j = longest_parabolic_element(parts)
     q = rsk(w_j)[1]
     rows = [[x - 1 for x in row] for row in q]

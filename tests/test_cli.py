@@ -289,6 +289,27 @@ def test_rim_refuses_a_huge_composition_before_any_work(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rim", "--composition", "1100", "--max-n", "2000", "--count-only"],
+        ["cell", "--composition", "1100", "--max-n", "2000", "--format", "json"],
+    ],
+)
+def test_a_walk_past_the_recursion_limit_is_refused(argv, capsys):
+    # the fiber walk recurses once per step; past the limit it would end
+    # in a RecursionError traceback
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # Python's default, whatever ran before
+    try:
+        assert run(argv) == (2, "")
+    finally:
+        sys.setrecursionlimit(limit)
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=1100 exceeds the depth ")
+    assert err.count("\n") == 1
+
+
 def test_order_path_round_trip():
     seven = {
         "paths": [
@@ -340,14 +361,15 @@ def test_admissible_command():
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_admissible_inserts_once_per_call(fmt, monkeypatch):
+    # the one insertion is the shape behind the subsequence type
     calls = []
-    real_rsk = diagrams.rsk
+    real_shape = diagrams.shape
 
-    def counting_rsk(word):
+    def counting_shape(word):
         calls.append(word)
-        return real_rsk(word)
+        return real_shape(word)
 
-    monkeypatch.setattr(diagrams, "rsk", counting_rsk)
+    monkeypatch.setattr(diagrams, "shape", counting_shape)
     for nodes in ([[1, 1], [1, 2], [2, 1]], [[1, 2], [2, 1]]):
         calls.clear()
         assert run(["admissible", "--format", fmt], json.dumps({"nodes": nodes}))[0] == 0

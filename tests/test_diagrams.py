@@ -4,6 +4,9 @@ from itertools import combinations, permutations as all_permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import klrim.diagrams as diagrams_module
+import klrim.permutations as permutations_module
+
 from klrim.compositions import compositions_of, conjugate, dominates
 from klrim.diagrams import (
     Diagram,
@@ -82,6 +85,13 @@ def test_w_of_diagram_examples():
     single_row = Diagram(tuple((1, j) for j in range(1, 5)))
     assert w_of_diagram(single_row) == identity(4)
     assert w_of_diagram(V21) == (1, 3, 2)
+
+
+@given(st.sets(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=45))
+def test_w_of_diagram_ranks_the_nodes_by_column_then_row(cells):
+    d = Diagram(compress_nodes(cells))
+    by_column = sorted(d.nodes, key=lambda node: (node[1], node[0]))
+    assert w_of_diagram(d) == tuple(by_column.index(node) + 1 for node in d.nodes)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -289,6 +299,29 @@ def test_subsequence_type_is_the_shape_of_w_j_times_w_d(cells):
     expected = shape(compose(longest_parabolic_element(rows), w_of_diagram(d)))
     assert subsequence_type(d) == expected
     assert is_admissible(d) == (expected == conjugate(rows))
+
+
+def test_a_diagram_inserts_once_for_admissibility_and_type(monkeypatch):
+    shapes, inserted = [], []
+    real_shape, real_insert = diagrams_module.shape, permutations_module._insert
+
+    def counting_shape(word):
+        shapes.append(word)
+        return real_shape(word)
+
+    def counting_insert(rows, x):
+        inserted.append(x)
+        return real_insert(rows, x)
+
+    monkeypatch.setattr(diagrams_module, "shape", counting_shape)
+    monkeypatch.setattr(permutations_module, "_insert", counting_insert)
+    d = _p_diagram(4, 1)
+    assert is_admissible(d)
+    assert subsequence_type(d) == (4, 2)
+    # one shape, and one insertion step per node: no recording tableau,
+    # no second pass
+    assert len(shapes) == 1
+    assert len(inserted) == d.size
 
 
 def test_brute_force_kpath_max_examples():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+
+import klrim.paths as paths_module
 from hypothesis import given, strategies as st
 
 from klrim.diagrams import Diagram, act, diagram_from_element, is_standard, row_fill, w_of_diagram, young_diagram
@@ -274,6 +276,33 @@ def test_order_kpath_matches_the_peeling_oracle(kp, parts):
             order_kpath(kp, parts)
     else:
         assert order_kpath(kp, parts).paths == expected
+
+
+@given(kpaths(), st.integers(1, 40), st.randoms(use_true_random=False))
+def test_order_kpath_results_pass_the_constructor_checks(kp, parts, rng):
+    # order_kpath builds its result without KPath's checks; each would pass
+    hosted = random_kpath(rng, random_diagram(rng, max_nodes=20), cover=rng.random() < 0.5)
+    for source in (kp, hosted):
+        results = [order_kpath(source)]
+        try:
+            results.append(order_kpath(source, parts))
+        except ValueError:
+            pass  # parts below the peel count or above the node count
+        for r in results:
+            assert KPath(r.paths, host=r.host) == r
+
+
+def test_order_kpath_still_checks_its_result(monkeypatch):
+    kp = KPath(SEVEN_PATH)
+    with monkeypatch.context() as m:
+        m.setattr(paths_module, "is_ordered", lambda kpath: False)
+        with pytest.raises(RuntimeError, match="ordered"):
+            order_kpath(kp)
+    # peeling a support that lost a node gives an ordered k-path on less
+    real_buckets = paths_module._row_buckets
+    monkeypatch.setattr(paths_module, "_row_buckets", lambda nodes: real_buckets(sorted(nodes)[1:]))
+    with pytest.raises(RuntimeError, match="same support"):
+        order_kpath(kp)
 
 
 def test_huge_rows_and_columns_are_ranked_not_indexed():

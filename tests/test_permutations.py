@@ -1,4 +1,4 @@
-from itertools import permutations as all_perms
+from itertools import combinations, permutations as all_perms
 
 import pytest
 from hypothesis import given, strategies as st
@@ -200,6 +200,24 @@ def test_shape_examples():
 @given(perms)
 def test_shape_invariant_under_inverse(w):
     assert shape(w) == shape(inverse(w))
+
+
+def _longest_monotone_subsequence(w, increasing):
+    """Brute force over every subsequence of w, longest first."""
+    for size in range(len(w), 1, -1):
+        for picked in combinations(w, size):
+            if all((a < b) == increasing for a, b in zip(picked, picked[1:])):
+                return size
+    return 1
+
+
+@given(st.integers(1, 10).flatmap(lambda n: st.permutations(range(1, n + 1)).map(tuple)))
+def test_shape_follows_schensted(w):
+    rows = shape(w)
+    assert sum(rows) == len(w)
+    assert list(rows) == sorted(rows, reverse=True)
+    assert rows[0] == _longest_monotone_subsequence(w, increasing=True)
+    assert len(rows) == _longest_monotone_subsequence(w, increasing=False)
 
 
 def test_dot_conjugate():
