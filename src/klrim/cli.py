@@ -1,5 +1,7 @@
 """
-Command-line surface and the JSON wire formats.
+Command-line surface and the JSON wire formats.  Each subcommand validates
+its input once, calls the library and writes the result, ``rim`` and
+``cell`` one element at a time.  The search bound is ``--max-n`` alone.
 
 Formats (all coordinates and entries 1-based):
   permutation   [2, 1, 3]                       row-form
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, Sequence
 
@@ -46,8 +47,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
-ENV_BOUND = "KLRIM_MAX_N"
-
 
 def parse_composition(text: str) -> Composition:
     try:
@@ -58,6 +57,16 @@ def parse_composition(text: str) -> Composition:
 
 
 # --- JSON codecs -----------------------------------------------------------
+
+
+def _read_json(stdin, what: str) -> Any:
+    """The JSON document on ``stdin``; anything undecodable is a ValueError."""
+    try:
+        return json.load(stdin)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed {what} JSON: {exc}")
+    except RecursionError:
+        raise ValueError(f"malformed {what} JSON: nested too deeply to decode")
 
 
 def diagram_to_json(diagram: Diagram) -> dict[str, Any]:
@@ -92,36 +101,15 @@ def kpath_to_json(kpath: KPath) -> dict[str, Any]:
 
 
 def kpath_from_json(obj: Any) -> KPath:
+    """A hostless k-path: the wire format carries no host diagram."""
     if not isinstance(obj, dict) or "paths" not in obj:
         raise ValueError('k-path JSON must be {"paths": [[[r, c], ...], ...]}')
     if not isinstance(obj["paths"], list):
         raise ValueError(f"k-path paths must be a list of paths, got {obj['paths']!r}")
-    paths = tuple(_nodes_from_json(path, "a k-path path") for path in obj["paths"])
-    support = {node for path in paths for node in path}
-    try:
-        host = Diagram(tuple(support))
-    except ValueError:
-        host = None  # support occupies a partial grid; ordering still works
-    return KPath(paths, host=host)
+    return KPath(tuple(_nodes_from_json(path, "a k-path path") for path in obj["paths"]))
 
 
-def rim_result_to_json(result: RimResult) -> dict[str, Any]:
-    return {
-        "composition": list(result.composition),
-        "rim": [
-            {
-                "row_form": list(y),
-                "reduced_word": list(reduced_word(y)),
-                "diagram": [[r, c] for r, c in d.nodes],
-                "special": special,
-            }
-            for y, d, special in zip(result.rim, result.diagrams, result.special)
-        ],
-        "cell_size": cell_size(result.composition),
-    }
-
-
-# --- text rendering --------------------------------------------------------
+# --- writers ---------------------------------------------------------------
 
 
 def render_diagram(diagram: Diagram, indent: str = "") -> str:
@@ -139,43 +127,43 @@ def _render_word(word: Sequence[int]) -> str:
     return " ".join(str(k) for k in word) if word else "(identity)"
 
 
-def render_rim_text(result: RimResult) -> str:
-    lines = [
-        "composition: " + ",".join(map(str, result.composition)),
-        f"rim size: {result.rim_size}",
-        f"cell size: {cell_size(result.composition)}",
-    ]
+def _write_rim_json(result: RimResult, size: int, out) -> None:
+    # the text json.dumps gives for the whole rim object, one element at a time
+    out.write(f'{{"composition": {list(result.composition)}, "rim": [')
+    separator = ""
     for y, d, special in zip(result.rim, result.diagrams, result.special):
-        lines.append(f"y = {list(y)}")
-        lines.append(f"  word: {_render_word(reduced_word(y))}")
-        lines.append(f"  special: {'yes' if special else 'no'}")
-        lines.append("  diagram:")
-        lines.append(render_diagram(d, indent="    "))
-    return "\n".join(lines)
+        element = {
+            "row_form": list(y),
+            "reduced_word": list(reduced_word(y)),
+            "diagram": [[r, c] for r, c in d.nodes],
+            "special": special,
+        }
+        out.write(separator + json.dumps(element))
+        separator = ", "
+    out.write(f'], "cell_size": {size}}}\n')
+
+
+def _write_rim_text(result: RimResult, size: int, out) -> None:
+    out.write(
+        f"composition: {','.join(map(str, result.composition))}\n"
+        f"rim size: {result.rim_size}\ncell size: {size}\n"
+    )
+    for y, d, special in zip(result.rim, result.diagrams, result.special):
+        out.write(
+            f"y = {list(y)}\n  word: {_render_word(reduced_word(y))}\n"
+            f"  special: {'yes' if special else 'no'}\n  diagram:\n"
+            f"{render_diagram(d, indent='    ')}\n"
+        )
 
 
 # --- subcommands -----------------------------------------------------------
 
 
-def _resolve_bound(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(ENV_BOUND)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_BOUND} must be an integer, got {env!r}")
-    return DEFAULT_SEARCH_BOUND
-
-
-def _cmd_rim(args: argparse.Namespace, out) -> int:
+def _cmd_rim(args: argparse.Namespace, out, stdin) -> int:
     parts = parse_composition(args.composition)
-    bound = _resolve_bound(args.max_n)
-
     searched = closed = None
     if args.method in ("search", "cross-check"):
-        searched = rim_search(parts, bound)
+        searched = rim_search(parts, args.max_n)
     if args.method in ("closed", "cross-check"):
         closed = rim_closed_form(parts)
         if closed is None:
@@ -195,23 +183,21 @@ def _cmd_rim(args: argparse.Namespace, out) -> int:
     result = searched if searched is not None else closed
     if args.count_only:
         print(result.rim_size, file=out)
-    elif args.format == "json":
-        print(json.dumps(rim_result_to_json(result)), file=out)
     else:
-        print(render_rim_text(result), file=out)
+        write = _write_rim_json if args.format == "json" else _write_rim_text
+        write(result, cell_size(parts), out)
     return EXIT_OK
 
 
-def _cmd_cell(args: argparse.Namespace, out) -> int:
+def _cmd_cell(args: argparse.Namespace, out, stdin) -> int:
     parts = parse_composition(args.composition)
-    bound = _resolve_bound(args.max_n)
     # checked before any work for every output: cell_elements is a generator
     # and checks only once it is first advanced
-    check_search_bound(sum(parts), bound)
+    check_search_bound(sum(parts), args.max_n)
     if args.count_only:
         print(cell_size(parts), file=out)
         return EXIT_OK
-    elements = cell_elements(parts, bound)
+    elements = cell_elements(parts, args.max_n)
     if args.format == "json":
         # each line is written by hand: the repr of a list of ints is the
         # text json.dumps gives for it, at a fraction of its cost
@@ -224,22 +210,14 @@ def _cmd_cell(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_order_path(args: argparse.Namespace, out, stdin) -> int:
-    try:
-        data = json.load(stdin)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed k-path JSON: {exc}")
-    kpath = kpath_from_json(data)
+    kpath = kpath_from_json(_read_json(stdin, "k-path"))
     ordered = order_kpath(kpath, parts=args.parts)
     print(json.dumps(kpath_to_json(ordered)), file=out)
     return EXIT_OK
 
 
 def _cmd_admissible(args: argparse.Namespace, out, stdin) -> int:
-    try:
-        data = json.load(stdin)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed diagram JSON: {exc}")
-    diagram = diagram_from_json(data)
+    diagram = diagram_from_json(_read_json(stdin, "diagram"))
     # both read the type the diagram computes once
     admissible = is_admissible(diagram)
     seq_type = subsequence_type(diagram)
@@ -256,7 +234,7 @@ def _cmd_admissible(args: argparse.Namespace, out, stdin) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace, out) -> int:
+def _cmd_verify(args: argparse.Namespace, out, stdin) -> int:
     theorems = THEOREMS if args.theorem == "all" else (args.theorem,)
     # every rule runs before anything is printed, so a rule with nothing to
     # check fails the command with stdout still empty
@@ -294,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             dest="max_n",
-            help=f"search bound override (default {DEFAULT_SEARCH_BOUND}, env {ENV_BOUND})",
+            help=f"search bound override (default {DEFAULT_SEARCH_BOUND})",
         )
         p.add_argument(
             "--count-only", action="store_true", help="print only the element count"
@@ -308,9 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="search",
         help="engine: closed form, search, or both with a diff",
     )
+    p_rim.set_defaults(run=_cmd_rim)
 
     p_cell = sub.add_parser("cell", help="stream all cell elements with reduced words")
     add_common(p_cell)
+    p_cell.set_defaults(run=_cmd_cell)
 
     p_order = sub.add_parser(
         "order-path", help="read k-path JSON on stdin, write an equivalent ordered one"
@@ -321,17 +301,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="force exactly this many constituent paths",
     )
+    p_order.set_defaults(run=_cmd_order_path)
 
     p_adm = sub.add_parser(
         "admissible", help="read diagram JSON on stdin, report admissibility and type"
     )
     p_adm.add_argument("--format", choices=("json", "text"), default="text")
+    p_adm.set_defaults(run=_cmd_admissible)
 
     p_verify = sub.add_parser(
         "verify", help="diff the closed-form rules against the search engine"
     )
     p_verify.add_argument("theorem", choices=THEOREMS + ("all",))
     p_verify.add_argument("--max-n", type=int, default=6, dest="max_n")
+    p_verify.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -339,20 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None, stdin=None, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     source = stdin if stdin is not None else sys.stdin
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "rim":
-            return _cmd_rim(args, out)
-        if args.command == "cell":
-            return _cmd_cell(args, out)
-        if args.command == "order-path":
-            return _cmd_order_path(args, out, source)
-        if args.command == "admissible":
-            return _cmd_admissible(args, out, source)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        raise RuntimeError(f"unhandled command {args.command}")
+        return args.run(args, out, source)
     except ValueError as exc:  # SearchBoundExceeded included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

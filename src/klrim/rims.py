@@ -225,19 +225,26 @@ def _zone(
     of e, c_i = #{j < i : e_j > e_i}, counts the positions left of i
     already written; l(e) is its sum, and the lex-least reduced word of e,
     the one ``reduced_word`` returns, is the concatenation of the runs
-    (i, i-1, ..., i-c_i+1) over positions i counted from 0.
+    (i, i-1, ..., i-c_i+1) over positions i counted from 0; each run is made
+    when the walk first needs it, so memory follows the output, not n³.
     """
     _, walk = _fiber(parts, bound)
     n = sum(parts)
     left = [(1 << i) - 1 for i in range(n)]
-    run_of = [[tuple(range(i, i - c, -1)) for c in range(i + 1)] for i in range(n)]
+    run_of = [[()] for _ in range(n)]  # run_of[i][c], grown to the largest c met
     e, v, runs = [0] * n, [0] * n, [()] * n
     length = [0] * (n + 2)  # length[s]: the code entries written by steps n..s
     zone = []
 
     def place(s: int, x: int, i: int, filled: int) -> bool:
         c = (filled & left[i]).bit_count()
-        e[i], v[x], runs[i] = s, s, run_of[i][c]
+        try:
+            run = run_of[i][c]
+        except IndexError:  # the first element with a code entry this large at i
+            known = run_of[i]
+            known.extend(tuple(range(i, i - k, -1)) for k in range(len(known), c + 1))
+            run = known[c]
+        e[i], v[x], runs[i] = s, s, run
         length[s] = length[s + 1] + c
         if s == 1:
             zone.append((length[1], tuple(e), tuple(v), tuple(runs)))

@@ -5,10 +5,12 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import klrim.cli as cli
 import klrim.diagrams as diagrams
 import klrim.rims as rims
 from klrim.cli import (
@@ -40,6 +42,11 @@ CELL_12_DIGESTS = {
     "json": "5e523df35f0e9a028737fde7e5848455095107d2466d50799e2fef4747085539",
     "text": "a85421b8c0ad92dc4aad26c133314d4c51a5e399f938b98f02abdde505705d4c",
 }
+
+# sha256 of the stdout of `klrim rim --method <method> --format <format>`,
+# concatenated over every composition of n = 1..7 in compositions_of order,
+# then search and, where a closed form exists, closed, then json and text
+RIM_DIGEST = "5894e7cf18c4e45a812db9376fd96c6c5618b8c653c2a9e5ffba38bfa57cddc0"
 
 # sha256 of exit code and stdout over calculus_inputs(): `order-path`, then
 # `order-path --parts k` for the input's k, on each k-path; `admissible
@@ -121,7 +128,6 @@ def test_python_m_klrim_runs_the_command_line():
     # in-process tests never reach
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    env.pop("KLRIM_MAX_N", None)
 
     def klrim(*argv):
         return subprocess.run(
@@ -175,6 +181,26 @@ def test_calculus_output_is_pinned_byte_for_byte():
     assert {command: d.hexdigest() for command, d in digests.items()} == CALCULUS_DIGESTS
 
 
+def test_kpath_from_json_builds_no_host(monkeypatch):
+    built = []
+
+    def counting_diagram(*args, **kwargs):
+        built.append(args)
+        return Diagram(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "Diagram", counting_diagram)
+    for _, payload in calculus_inputs():
+        assert kpath_from_json(payload).host is None
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["admissible", "order-path"])
+def test_deeply_nested_stdin_exits_2(command, capsys):
+    assert run([command], stdin_text="[" * 100_000 + "]" * 100_000) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed ") and err.count("\n") == 1
+
+
 def test_render_diagram():
     assert render_diagram(young_diagram((2, 1))) == "× ×\n×"
 
@@ -211,6 +237,54 @@ def test_rim_count_only_and_methods():
     assert closed == searched
     code, _ = run(["rim", "--composition", "1,2,2,1", "--method", "cross-check"])
     assert code == 0
+
+
+def test_rim_output_is_pinned_byte_for_byte():
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for parts in compositions_of(n):
+            text = ",".join(map(str, parts))
+            methods = ["search"] + (["closed"] if rims.rim_closed_form(parts) else [])
+            for method in methods:
+                for fmt in ("json", "text"):
+                    argv = ["rim", "--composition", text, "--method", method, "--format", fmt]
+                    code, out = run(argv)
+                    assert code == 0
+                    digest.update(out.encode())
+    assert digest.hexdigest() == RIM_DIGEST
+
+
+def test_rim_json_is_the_json_dumps_text():
+    for n in range(1, 9):
+        for parts in compositions_of(n):
+            text = ",".join(map(str, parts))
+            for method in ("search", "closed"):
+                argv = ["rim", "--composition", text, "--method", method, "--format", "json"]
+                code, out = run(argv)
+                if code == 0:
+                    assert json.dumps(json.loads(out)) + "\n" == out, (parts, method)
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rim_json_is_written_without_a_second_copy_of_the_rim():
+    # the rim result itself is the peak: writing it holds one element of
+    # the output at a time, never a second copy of the whole rim
+    argv = ["rim", "--method", "closed", "--composition", "1,300,1", "--format", "json"]
+    alone = _peak_bytes(lambda: rims.rim_closed_form((1, 300, 1)))
+    assert _peak_bytes(lambda: main(argv, stdout=_Discard())) < 1.5 * alone
 
 
 def test_rim_closed_method_unrecognized_composition():
@@ -424,13 +498,14 @@ def test_verify_detects_injected_perturbation(monkeypatch):
 
 
 def test_bound_exceeded_and_env_override(monkeypatch):
+    # the bound is --max-n alone: KLRIM_MAX_N, once an override, is ignored
     assert run(["rim", "--composition", "2,2,2,2,2,2"])[0] == 2
+    assert run(["rim", "--composition", "12", "--count-only", "--max-n", "12"]) == (0, "1\n")
+    assert run(["rim", "--composition", "3,2", "--max-n", "4"])[0] == 2
     monkeypatch.setenv("KLRIM_MAX_N", "12")
-    code, out = run(["rim", "--composition", "12", "--count-only"])
-    assert (code, out) == (0, "1\n")
-    monkeypatch.setenv("KLRIM_MAX_N", "4")
-    assert run(["rim", "--composition", "3,2"])[0] == 2
+    assert run(["rim", "--composition", "12", "--count-only"]) == (2, "")
     monkeypatch.setenv("KLRIM_MAX_N", "banana")
-    assert run(["rim", "--composition", "2,1"])[0] == 2
+    assert run(["rim", "--composition", "2,1"])[0] == 0
+    assert run(["rim", "--composition", "2,1", "--method", "closed"])[0] == 0
     monkeypatch.delenv("KLRIM_MAX_N")
     assert run(["rim", "--composition", "3,2"])[0] == 0

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from math import comb, factorial, prod
 
 import pytest
@@ -399,6 +400,18 @@ def test_the_search_bound_is_checked_before_any_work():
         rim_search((10**12,), bound=8)
     with pytest.raises(SearchBoundExceeded, match="^n=1000000000000 exceeds the search bound 8"):
         next(cell_elements((10**12,), 8))
+
+
+def test_zone_memory_follows_the_cell_not_n_cubed():
+    # (300,) has a one-element cell, whose code runs are all empty: all
+    # n(n+1)/2 runs of the walk's positions would take about 45 MB
+    tracemalloc.start()
+    try:
+        assert len(list(cell_elements((300,), 300))) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_rim_result_validation():
