@@ -113,14 +113,11 @@ def kpath_from_json(obj: Any) -> KPath:
 
 
 def render_diagram(diagram: Diagram, indent: str = "") -> str:
-    lines = []
-    for r in range(1, diagram.row_count + 1):
-        cells = [
-            "×" if (r, c) in diagram else " "
-            for c in range(1, diagram.column_count + 1)
-        ]
-        lines.append((indent + " ".join(cells)).rstrip())
-    return "\n".join(lines)
+    # marks a blank grid node by node: testing each cell would keep a node set
+    grid = [[" "] * diagram.column_count for _ in range(diagram.row_count)]
+    for r, c in diagram.nodes:
+        grid[r - 1][c - 1] = "×"
+    return "\n".join((indent + " ".join(cells)).rstrip() for cells in grid)
 
 
 def _render_word(word: Sequence[int]) -> str:
@@ -170,9 +167,7 @@ def _cmd_rim(args: argparse.Namespace, out, stdin) -> int:
             raise ValueError(
                 f"no closed form known for composition {parts}; use --method search"
             )
-    if args.method == "cross-check" and (
-        searched.rim != closed.rim or searched.diagrams != closed.diagrams
-    ):
+    if args.method == "cross-check" and searched != closed:
         print(
             f"cross-check mismatch for {parts}: "
             f"search {list(searched.rim)} vs closed {list(closed.rim)}",

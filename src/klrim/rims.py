@@ -14,6 +14,10 @@ Z holds the minimal coset representatives e with Q(w_J e) = Q(w_J); by the
 characterization the diagram calculus rests on, e lies in Z exactly when
 ``is_admissible(diagram_from_element(e, λ))``.
 
+A ``RimResult`` stores only the canonical diagrams of the rim; elements and
+flags are read off them.  Each closed family is built once, as written; the
+rim of a reversed member is the half-turn of the reverse's rim.
+
 Both searches are one walk, ``_fiber``, of the Robinson-Schensted fiber
 {v : Q(v) = Q(w_J)} = w_J Z, with two callbacks.  ``cell_elements``
 records every element, with the code vector of e, which gives l(e) and
@@ -28,6 +32,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb, factorial, prod
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -65,10 +70,6 @@ THEOREMS = ("T2.16a", "T3.5a", "T3.7a", "T3.15a", "C3.16a", "P3.2a")
 # place(s, x, i, filled) -> whether the walk goes below step s; see _fiber
 Place = Callable[[int, int, int, int], bool]
 
-# frames stacked above the walk's deepest step: place, and what place calls,
-# with room for a tracer's wrappers
-_WALK_FRAME_MARGIN = 50
-
 
 class SearchBoundExceeded(ValueError):
     """Raised when a search is requested past the configured bound."""
@@ -77,43 +78,35 @@ class SearchBoundExceeded(ValueError):
 @dataclass(frozen=True)
 class RimResult:
     """
-    The rim of one cell: the prefix-maximal coset representatives, their
-    canonical diagrams, and per-diagram specialness flags.  Entries are
-    sorted by row-form so results compare and serialize deterministically.
+    The rim of one cell, stored as the canonical diagrams of its elements:
+    ``rim`` holds their column readings ``w_of_diagram`` and ``special``
+    their ``is_special`` flags, both derived on first use.  Diagrams are
+    sorted by row-form, so results compare and serialize deterministically;
+    the constructor takes them in any order, from any iterable.
     """
 
     composition: Composition
-    rim: tuple[Perm, ...]
     diagrams: tuple[Diagram, ...]
-    special: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        composition = check_composition(self.composition)
-        if not len(self.rim) == len(self.diagrams) == len(self.special):
-            raise ValueError("rim, diagrams and special flags must run in parallel")
-        order = sorted(range(len(self.rim)), key=lambda i: self.rim[i])
-        object.__setattr__(self, "composition", composition)
-        object.__setattr__(self, "rim", tuple(self.rim[i] for i in order))
-        object.__setattr__(self, "diagrams", tuple(self.diagrams[i] for i in order))
-        object.__setattr__(self, "special", tuple(bool(self.special[i]) for i in order))
+        object.__setattr__(self, "composition", check_composition(self.composition))
+        object.__setattr__(self, "diagrams", tuple(sorted(self.diagrams, key=w_of_diagram)))
+
+    @cached_property
+    def rim(self) -> tuple[Perm, ...]:
+        return tuple(map(w_of_diagram, self.diagrams))
+
+    @cached_property
+    def special(self) -> tuple[bool, ...]:
+        return tuple(map(is_special, self.diagrams))
 
     @property
     def rim_size(self) -> int:
-        return len(self.rim)
+        return len(self.diagrams)
 
     @property
     def special_count(self) -> int:
         return sum(self.special)
-
-
-def _result_from_diagrams(parts: Composition, diagrams: Iterable[Diagram]) -> RimResult:
-    diagrams = tuple(diagrams)
-    return RimResult(
-        composition=parts,
-        rim=tuple(w_of_diagram(d) for d in diagrams),
-        diagrams=diagrams,
-        special=tuple(is_special(d) for d in diagrams),
-    )
 
 
 def check_search_bound(n: int, bound: int | None) -> int:
@@ -129,35 +122,16 @@ def check_search_bound(n: int, bound: int | None) -> int:
     return n
 
 
-def _check_walk_depth(n: int) -> None:
-    """
-    Refuse, with SearchBoundExceeded, an n that the fiber walk cannot reach
-    from the caller's stack: it recurses once per step, and Python stops at
-    its recursion limit.
-    """
-    depth = 0
-    frame = sys._getframe(1)
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    limit = sys.getrecursionlimit()
-    reach = limit - depth - _WALK_FRAME_MARGIN
-    if n > reach:
-        raise SearchBoundExceeded(
-            f"n={n} exceeds the depth {reach} that the recursive fiber walk can "
-            f"reach under Python's recursion limit {limit}"
-        )
-
-
 def _fiber(
     parts: Composition, bound: int | None
 ) -> tuple[Tableau, Callable[[Place], None]]:
     """
     Q(w_J) and a depth-first walk of the Robinson-Schensted fiber
     {v : Q(v) = Q(w_J)}, the elements w_J e for e in Z: ``walk(place)``
-    calls ``place(s, x, i, filled)`` after each ejection.  The bound, and
-    the depth the recursive walk can reach, are checked before anything of
-    size n is built.
+    calls ``place(s, x, i, filled)`` after each ejection.  The bound is
+    checked before anything of size n is built.  The walk recurses once per
+    step; one that runs into Python's recursion limit is refused with
+    SearchBoundExceeded, before its caller has written anything.
 
     The fiber holds the inverses of {u : P(u) = Q(w_J)} (Schützenberger's
     symmetry P(v^-1) = Q(v)), so the walk reverse-bumps the fixed tableau
@@ -179,7 +153,6 @@ def _fiber(
     reads no row by index.
     """
     n = check_search_bound(sum(parts), bound)
-    _check_walk_depth(n)
     w_j = longest_parabolic_element(parts)
     q = rsk(w_j)[1]
     rows = [[x - 1 for x in row] for row in q]
@@ -206,11 +179,18 @@ def _fiber(
                         up[j], x = x, up[j]
                     row.append(x)
 
-        remove(n, 0)
-        # remove's closure holds remove itself; unbinding it breaks that
-        # cycle, so what place kept is freed by its last reader, not by a
-        # later cyclic collection
-        del remove
+        try:
+            remove(n, 0)
+        except RecursionError:
+            raise SearchBoundExceeded(
+                f"n={n} exceeds the depth that the recursive fiber walk can reach "
+                f"under Python's recursion limit {sys.getrecursionlimit()}"
+            ) from None
+        finally:
+            # remove's closure holds remove itself; unbinding it breaks that
+            # cycle, so what place kept is freed by its last reader, not by a
+            # later cyclic collection
+            del remove
 
     return q, walk
 
@@ -311,8 +291,7 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
         return False
 
     walk(place)
-    diagrams = tuple(_diagram_from_element(y, parts) for y in rim)
-    return RimResult(parts, tuple(rim), diagrams, tuple(map(is_special, diagrams)))
+    return RimResult(parts, (_diagram_from_element(y, parts) for y in rim))
 
 
 def cell_size(parts: Iterable[int]) -> int:
@@ -386,9 +365,7 @@ def theta_star(result: RimResult) -> RimResult:
     """
     if result.composition[-1] != 1:
         raise ValueError("theta_star requires the last part of the composition to be 1")
-    extended = _result_from_diagrams(
-        result.composition + (1,), (star_extend(d) for d in result.diagrams)
-    )
+    extended = RimResult(result.composition + (1,), map(star_extend, result.diagrams))
     if len(set(extended.rim)) != result.rim_size:
         raise RuntimeError("theta_star must carry the rim bijectively")
     return extended
@@ -500,25 +477,48 @@ def _match_staircase(parts: Composition) -> tuple[int, int, int] | None:
 
 def _staircase_diagrams(a: int, rows: int, b: int) -> list[Diagram]:
     """
-    Rim diagrams for (1^a, 2^{rows-2}, 1^b): start from the two-column
-    family, extend the tail downward b-1 times, rotate, extend a-1 times,
-    rotate back.
+    Rim diagrams for (1^a, 2^{rows-2}, 1^b): each two-column diagram
+    P(rows, v) moved down a-1 rows, with its full column run through all
+    rows+a+b-2 rows.  That column, column 1 for v = 0 and column 2
+    otherwise, holds the single nodes of the first and the last row of
+    P(rows, v).
     """
-    diagrams = [_p_diagram(rows, v) for v in range(rows - 1)]
-    for _ in range(b - 1):
-        diagrams = [star_extend(d) for d in diagrams]
-    diagrams = [rotate180(d) for d in diagrams]
-    for _ in range(a - 1):
-        diagrams = [star_extend(d) for d in diagrams]
-    return [rotate180(d) for d in diagrams]
+    height = rows + a + b - 2
+    diagrams = []
+    for v in range(rows - 1):
+        full = 1 if v == 0 else 2
+        nodes = {(r + a - 1, c) for r, c in _p_diagram(rows, v).nodes}
+        nodes.update((r, full) for r in range(1, height + 1))
+        diagrams.append(Diagram(tuple(nodes)))
+    return diagrams
+
+
+def _family_diagrams(parts: Composition) -> list[Diagram] | None:
+    """
+    The rim diagrams of a composition of a closed family, taken as written:
+    partitions, three-part compositions, (t, s, 1, ..., 1) with t < s, and
+    (1^a, 2^k, 1^b); None for any other composition.
+    """
+    if is_partition(parts):
+        return [young_diagram(parts)]
+    if len(parts) == 3:
+        return _three_part_diagrams(parts)
+    if len(parts) > 3 and all(p == 1 for p in parts[2:]) and parts[0] < parts[1]:
+        t, s = parts[0], parts[1]
+        return [_d_tsu_diagram(t, s, u, len(parts)) for u in range(1, s - t + 2)]
+    staircase = _match_staircase(parts)
+    if staircase is not None:
+        return _staircase_diagrams(*staircase)
+    return None
 
 
 def rim_closed_form(parts: Iterable[int]) -> RimResult | None:
     """
-    The rim from an explicit construction, when the composition belongs to
-    a recognized family; None otherwise.  Families, first match wins:
-    partitions; reversed partitions; all three-part compositions;
-    (t, s, 1, ..., 1) and its reverse; (1^a, 2^k, 1^b).
+    The rim from an explicit construction, when the composition or its
+    reverse is a partition, has three parts, is (t, s, 1, ..., 1) with
+    t < s, or is (1^a, 2^k, 1^b); None otherwise.  Each family is built on
+    the composition as written; the rim of a reversed member is the
+    half-turn ``rotate180`` of every diagram of the reverse's rim.
 
     >>> rim_closed_form((2, 1)).rim
     ((1, 3, 2),)
@@ -526,32 +526,11 @@ def rim_closed_form(parts: Iterable[int]) -> RimResult | None:
     True
     """
     parts = check_composition(parts)
-    if is_partition(parts):
-        return _result_from_diagrams(parts, [young_diagram(parts)])
-    rev = reverse_composition(parts)
-    if is_partition(rev):
-        return _result_from_diagrams(parts, [rotate180(young_diagram(rev))])
-    if len(parts) == 3:
-        return _result_from_diagrams(parts, _three_part_diagrams(parts))
-    if len(parts) > 3 and all(p == 1 for p in parts[2:]) and parts[0] < parts[1]:
-        t, s = parts[0], parts[1]
-        return _result_from_diagrams(
-            parts,
-            [_d_tsu_diagram(t, s, u, len(parts)) for u in range(1, s - t + 2)],
-        )
-    if len(parts) > 3 and all(p == 1 for p in parts[:-2]) and parts[-1] < parts[-2]:
-        t, s = rev[0], rev[1]
-        return _result_from_diagrams(
-            parts,
-            [
-                rotate180(_d_tsu_diagram(t, s, u, len(parts)))
-                for u in range(1, s - t + 2)
-            ],
-        )
-    staircase = _match_staircase(parts)
-    if staircase is not None:
-        return _result_from_diagrams(parts, _staircase_diagrams(*staircase))
-    return None
+    diagrams = _family_diagrams(parts)
+    if diagrams is not None:
+        return RimResult(parts, diagrams)
+    reverse = _family_diagrams(reverse_composition(parts))
+    return None if reverse is None else RimResult(parts, map(rotate180, reverse))
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +568,9 @@ def _check_family(
     its size and its number of special diagrams."""
     expected = {d.nodes for d in diagrams}
     actual = {d.nodes for d in found.diagrams}
-    ok = expected == actual and set(found.rim) == {w_of_diagram(d) for d in diagrams}
+    ok = expected == actual
     detail = "ok"
-    if expected != actual:
+    if not ok:
         detail = f"expected diagrams {sorted(expected)} but search found {sorted(actual)}"
     if ok and found.rim_size != count:
         ok, detail = False, f"rim size {found.rim_size}, predicted {count}"
@@ -660,7 +639,7 @@ def _checks_append_part(max_n: int, search: Search) -> Iterator[TheoremCheck]:
                 continue
             extended = theta_star(search(parts))
             direct = search(parts + (1,))
-            ok = extended.rim == direct.rim and extended.diagrams == direct.diagrams
+            ok = extended == direct
             detail = "ok" if ok else f"extension rim {extended.rim} vs direct rim {direct.rim}"
             yield TheoremCheck(parts, ok, detail)
 

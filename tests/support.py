@@ -16,18 +16,18 @@ from klrim import (
     identity,
     inverse,
     is_coset_rep,
-    is_special,
     longest_parabolic_element,
     partial_sums,
     precedes,
     prefixes_of_wd,
+    rotate180,
     rsk,
     rsk_inverse,
     standard_tableaux,
-    w_of_diagram,
+    star_extend,
     young_diagram,
 )
-from klrim.rims import _zone
+from klrim.rims import _p_diagram, _zone
 
 
 def compress_nodes(nodes) -> tuple[Node, ...]:
@@ -164,9 +164,9 @@ def inverse_insertion_zone(parts) -> list[Perm]:
 def full_zone_rim(parts) -> RimResult:
     """
     The rim by filtering all of Z: the elements e of ``rims._zone`` such
-    that no ascent k puts e s_k in Z, each probe a lookup in a set of Z,
-    with the rim rebuilt from its diagrams.  The reference for the pruned
-    search in ``rim_search``, which never holds Z.
+    that no ascent k puts e s_k in Z, each probe a lookup in a set of Z;
+    the result holds their diagrams.  The reference for the pruned search
+    in ``rim_search``, which never holds Z.
     """
     zone = [e for _, e, _, _ in _zone(parts, sum(parts))]
     zset = set(zone)
@@ -182,13 +182,7 @@ def full_zone_rim(parts) -> RimResult:
                 scratch[i], scratch[j] = k, k + 1
         else:
             rim.append(e)
-    diagrams = tuple(diagram_from_element(y, parts) for y in rim)
-    return RimResult(
-        tuple(parts),
-        tuple(w_of_diagram(d) for d in diagrams),
-        diagrams,
-        tuple(is_special(d) for d in diagrams),
-    )
+    return RimResult(tuple(parts), (diagram_from_element(y, parts) for y in rim))
 
 
 def coset_reps(parts) -> list[Perm]:
@@ -383,6 +377,22 @@ def staircase_row_form(r: int, v: int) -> Perm:
             row += [2 * v + 1 + j, v + r + j]
         row.append(v + r)
     return tuple(row)
+
+
+def star_extended_staircase(a: int, rows: int, b: int) -> list[Diagram]:
+    """
+    The rim diagrams of (1^a, 2^{rows-2}, 1^b) by admissibility search: the
+    two-column diagrams P(rows, v), each extended downward by ``star_extend``
+    b-1 times, turned half round, extended a-1 times and turned back.  The
+    reference for the direct construction ``rims._staircase_diagrams``.
+    """
+    diagrams = [_p_diagram(rows, v) for v in range(rows - 1)]
+    for _ in range(b - 1):
+        diagrams = [star_extend(d) for d in diagrams]
+    diagrams = [rotate180(d) for d in diagrams]
+    for _ in range(a - 1):
+        diagrams = [star_extend(d) for d in diagrams]
+    return [rotate180(d) for d in diagrams]
 
 
 # three-row special-diagram fixtures, one per composition pattern of

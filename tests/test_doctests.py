@@ -1,5 +1,5 @@
 """Checks over every klrim module: docstring examples, no bare asserts, no
-raised AssertionError and no unused import."""
+raised AssertionError, no unused import and no read of the environment."""
 import ast
 import doctest
 import importlib
@@ -65,3 +65,36 @@ def test_every_import_is_used():
         scanned += len(imported)
         unused.update((f"{info.name}.{name}", line) for name, line in imported.items() if name not in used)
     assert scanned > 0 and unused == {}
+
+
+_ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree: ast.Module) -> list[int]:
+    """Lines that import ``os`` or name a part of its environment API."""
+    lines = set()
+    for node in ast.walk(tree):
+        modules, names = [], {getattr(node, "attr", None), getattr(node, "id", None)}
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            names.update(alias.name for alias in node.names)
+        if any(m.partition(".")[0] == "os" for m in modules) or names & _ENVIRONMENT_NAMES:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_reads_the_environment():
+    # --max-n is the only search bound: no module imports os or reads an
+    # environment variable; the sample shows that the scan sees each form
+    sample = "import os.path\nfrom posix import getenv\nbound = os.environ.get('N')\n"
+    assert _environment_reads(ast.parse(sample)) == [1, 2, 3]
+    reads, scanned = {}, 0
+    for info in pkgutil.iter_modules(klrim.__path__):
+        module = importlib.import_module(f"klrim.{info.name}")
+        scanned += 1
+        lines = _environment_reads(ast.parse(inspect.getsource(module)))
+        if lines:
+            reads[info.name] = lines
+    assert scanned > 0 and reads == {}

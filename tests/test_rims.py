@@ -44,6 +44,7 @@ from klrim.rims import (
     _g_diagram,
     _h_diagram,
     _p_diagram,
+    _staircase_diagrams,
     _three_part_count,
     _three_part_diagrams,
     _zone,
@@ -60,6 +61,7 @@ from support import (
     prefix_union,
     restart_reduced_word,
     staircase_row_form,
+    star_extended_staircase,
 )
 
 
@@ -290,6 +292,30 @@ def test_closed_form_counts():
     assert set(staircase.diagrams) == {_p_diagram(4, v) for v in range(3)}
 
 
+def test_staircase_diagrams_match_the_star_extend_route():
+    for rows in range(3, 9):
+        for a in range(1, 7):
+            for b in range(1, 7):
+                expected = star_extended_staircase(a, rows, b)
+                assert _staircase_diagrams(a, rows, b) == expected, (a, rows, b)
+
+
+def test_closed_forms_to_n_14_are_pinned():
+    # sha256 of every closed-form rim with n <= 14, with its diagrams and
+    # flags: past n = 8 no test compares the closed forms with the search
+    pinned = []
+    for n in range(1, 15):
+        for parts in compositions_of(n):
+            closed = rim_closed_form(parts)
+            if closed is not None:
+                nodes = tuple(d.nodes for d in closed.diagrams)
+                pinned.append((parts, closed.rim, nodes, closed.special))
+    assert len(pinned) == 1565
+    assert hashlib.sha256(repr(pinned).encode()).hexdigest() == (
+        "e968da900a190bc89681eb92b6dffb7abfb60e1393e4d2c6c3ce6f6851818176"
+    )
+
+
 def test_staircase_rim_row_forms_are_the_closed_pattern():
     for r in (3, 4, 5):
         parts = (1,) + (2,) * (r - 2) + (1,)
@@ -414,9 +440,13 @@ def test_zone_memory_follows_the_cell_not_n_cubed():
     assert peak < 5_000_000
 
 
-def test_rim_result_validation():
-    with pytest.raises(ValueError):
-        RimResult((2, 1), ((1, 3, 2),), (), ())
+def test_rim_result_derives_rim_and_flags_from_its_diagrams():
+    for n in range(1, 7):
+        for parts in compositions_of(n):
+            result = rim_search(parts)
+            assert RimResult(parts, reversed(result.diagrams)) == result
+            assert result.rim == tuple(map(w_of_diagram, result.diagrams))
+            assert result.special == tuple(map(is_special, result.diagrams))
 
 
 def test_verify_theorem_reports():
