@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import getitem
 from typing import Any, Sequence
 
 from .compositions import Composition, check_composition
@@ -35,7 +36,7 @@ from .rims import (
     DEFAULT_SEARCH_BOUND,
     RimResult,
     THEOREMS,
-    cell_elements,
+    _cell,
     cell_size,
     check_search_bound,
     rim_closed_form,
@@ -186,21 +187,28 @@ def _cmd_rim(args: argparse.Namespace, out, stdin) -> int:
 
 def _cmd_cell(args: argparse.Namespace, out, stdin) -> int:
     parts = parse_composition(args.composition)
-    # checked before any work for every output: cell_elements is a generator
-    # and checks only once it is first advanced
+    # the count walks nothing, so the bound is checked here for every output
     check_search_bound(sum(parts), args.max_n)
     if args.count_only:
         print(cell_size(parts), file=out)
         return EXIT_OK
-    elements = cell_elements(parts, args.max_n)
+    # each line is joined from texts made once per call, in the text
+    # json.dumps gives for lists of ints: the row-form from the texts of its
+    # values, the word from w_J's word and the run text of each code entry.
+    # A run text opens with the separator, which the word's first run drops.
+    sep = ", " if args.format == "json" else " "
+    head, records, runs = _cell(parts, args.max_n, lambda run: "".join(f"{sep}{k}" for k in run))
+    head = "".join(head)[len(sep):]
+    cut = 0 if head else len(sep)
+    value = list(map(str, range(sum(parts) + 1))).__getitem__
     if args.format == "json":
-        # each line is written by hand: the repr of a list of ints is the
-        # text json.dumps gives for it, at a fraction of its cost
-        for w, word in elements:
-            out.write(f'{{"row_form": {list(w)}, "reduced_word": {list(word)}}}\n')
+        for _, _, w, code in records:
+            word = "".join(map(getitem, runs, code))[cut:]
+            out.write(f'{{"row_form": [{", ".join(map(value, w))}], "reduced_word": [{head}{word}]}}\n')
     else:
-        for w, word in elements:
-            out.write(f"{list(w)}  word: {_render_word(word)}\n")
+        for _, _, w, code in records:
+            word = head + "".join(map(getitem, runs, code))[cut:]
+            out.write(f"[{', '.join(map(value, w))}]  word: {word or '(identity)'}\n")
     return EXIT_OK
 
 

@@ -9,10 +9,10 @@ the permutation carrying the first filling to the second is
 prefixes of that permutation, which is what makes diagrams a tool for
 producing reduced forms.
 
-A diagram's subsequence type, which decides admissibility, is computed
-once per diagram and kept on it: one shape-only Robinson-Schensted
-insertion, with no recording tableau, serves both ``subsequence_type`` and
-``is_admissible``.
+A diagram's column reading and its subsequence type, which decides
+admissibility, are computed once per diagram and kept on it: one
+shape-only Robinson-Schensted insertion, with no recording tableau, serves
+both ``subsequence_type`` and ``is_admissible``.
 """
 from __future__ import annotations
 
@@ -82,9 +82,21 @@ class Diagram:
         return tuple(counts)
 
     @cached_property
+    def column_reading(self) -> Perm:
+        """w_D, the column filling read row-major; see ``w_of_diagram``."""
+        # a stable sort of the row-major indices by column alone keeps the
+        # rows of each column in order
+        column_of = [c for _, c in self.nodes]
+        by_column = sorted(range(len(column_of)), key=column_of.__getitem__)
+        w = [0] * len(column_of)
+        for e, i in enumerate(by_column, start=1):
+            w[i] = e
+        return tuple(w)
+
+    @cached_property
     def subsequence_type(self) -> Composition:
         """The shape of w_J·w_D; see the function ``subsequence_type``."""
-        w_d = w_of_diagram(self)
+        w_d = self.column_reading
         word: list[int] = []
         hi = 0
         for size in self.row_composition:
@@ -139,19 +151,13 @@ def w_of_diagram(diagram: Diagram) -> Perm:
 
     Because the row filling is the identity labelling, the row-form of w is
     just the column filling read in row-major order: entry i is the rank of
-    node i when the nodes are sorted by (column, row).  The nodes are
-    row-major, so a stable sort of their indices by column alone keeps the
-    rows of each column in order.
+    node i when the nodes are sorted by (column, row).  It is computed once
+    per diagram and kept on it, as ``Diagram.column_reading``.
 
     >>> w_of_diagram(young_diagram((2, 1)))
     (1, 3, 2)
     """
-    column_of = [c for _, c in diagram.nodes]
-    by_column = sorted(range(len(column_of)), key=column_of.__getitem__)
-    w = [0] * len(column_of)
-    for e, i in enumerate(by_column, start=1):
-        w[i] = e
-    return tuple(w)
+    return diagram.column_reading
 
 
 def act(tableau: DTableau, w: Sequence[int]) -> DTableau:

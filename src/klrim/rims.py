@@ -19,13 +19,14 @@ flags are read off them.  Each closed family is built once, as written; the
 rim of a reversed member is the half-turn of the reverse's rim.
 
 Both searches are one walk, ``_fiber``, of the Robinson-Schensted fiber
-{v : Q(v) = Q(w_J)} = w_J Z, with two callbacks.  ``cell_elements``
-records every element, with the code vector of e, which gives l(e) and
-the lex-least reduced word of e.  ``rim_search`` cuts every subtree whose
-elements a dual Knuth move shows to have an extension inside Z, and tests
-the leaves that survive exactly; it never holds Z.  The cell size needs no
-search: it is f^{λ'}, the number of standard tableaux of the shape of
-Q(w_J), by the hook-length formula.
+{v : Q(v) = Q(w_J)} = w_J Z, with two callbacks.  The cell's callback
+records every element with the code vector of e, which gives l(e); the
+lex-least reduced words, and the lines of ``klrim cell``, are read off the
+codes through run tables built once per call.  ``rim_search`` cuts every
+subtree whose elements a dual Knuth move shows to have an extension inside
+Z, and tests the leaves that survive exactly; it never holds Z.  The cell
+size needs no search: it is f^{λ'}, the number of standard tableaux of the
+shape of Q(w_J), by the hook-length formula.
 """
 from __future__ import annotations
 
@@ -33,9 +34,10 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import comb, factorial, prod
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from operator import getitem
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .compositions import (
     Composition,
@@ -59,7 +61,6 @@ from .permutations import (
     Tableau,
     Word,
     longest_parabolic_element,
-    reduced_word,
     rsk,
 )
 
@@ -69,6 +70,9 @@ THEOREMS = ("T2.16a", "T3.5a", "T3.7a", "T3.15a", "C3.16a", "P3.2a")
 
 # place(s, x, i, filled) -> whether the walk goes below step s; see _fiber
 Place = Callable[[int, int, int, int], bool]
+# the code vector of a permutation: entry i counts the larger entries left of i
+Code = tuple[int, ...]
+T = TypeVar("T")
 
 
 class SearchBoundExceeded(ValueError):
@@ -197,41 +201,53 @@ def _fiber(
 
 def _zone(
     parts: Composition, bound: int | None
-) -> list[tuple[int, Perm, Perm, tuple[Word, ...]]]:
+) -> list[tuple[int, Perm, Perm, Code]]:
     """
-    Every element e of Z, in walk order, as (l(e), e, w_J e, runs): the
-    reduced word of e is the concatenation of ``runs``.  The walk of
-    ``_fiber`` writes the entries of e largest first, so the code vector
-    of e, c_i = #{j < i : e_j > e_i}, counts the positions left of i
-    already written; l(e) is its sum, and the lex-least reduced word of e,
-    the one ``reduced_word`` returns, is the concatenation of the runs
-    (i, i-1, ..., i-c_i+1) over positions i counted from 0; each run is made
-    when the walk first needs it, so memory follows the output, not n³.
+    Every element e of Z, in walk order, as (l(e), e, w_J e, code): the code
+    vector of e, c_i = #{j < i : e_j > e_i} over positions i counted from 0.
+    The walk of ``_fiber`` writes the entries of e largest first, so c_i
+    counts the positions left of i already written when i is; l(e) is its
+    sum, and the lex-least reduced word of e, the one ``reduced_word``
+    returns, is the concatenation of the runs (i, i-1, ..., i-c_i+1) over i.
     """
     _, walk = _fiber(parts, bound)
     n = sum(parts)
     left = [(1 << i) - 1 for i in range(n)]
-    run_of = [[()] for _ in range(n)]  # run_of[i][c], grown to the largest c met
-    e, v, runs = [0] * n, [0] * n, [()] * n
+    e, v, code = [0] * n, [0] * n, [0] * n
     length = [0] * (n + 2)  # length[s]: the code entries written by steps n..s
     zone = []
 
     def place(s: int, x: int, i: int, filled: int) -> bool:
-        c = (filled & left[i]).bit_count()
-        try:
-            run = run_of[i][c]
-        except IndexError:  # the first element with a code entry this large at i
-            known = run_of[i]
-            known.extend(tuple(range(i, i - k, -1)) for k in range(len(known), c + 1))
-            run = known[c]
-        e[i], v[x], runs[i] = s, s, run
+        c = code[i] = (filled & left[i]).bit_count()
+        e[i], v[x] = s, s
         length[s] = length[s + 1] + c
         if s == 1:
-            zone.append((length[1], tuple(e), tuple(v), tuple(runs)))
+            zone.append((length[1], tuple(e), tuple(v), tuple(code)))
         return True
 
     walk(place)
     return zone
+
+
+def _cell(
+    parts: Composition, bound: int | None, render: Callable[[range], T]
+) -> tuple[list[T], list[tuple[int, Perm, Perm, Code]], list[list[T]]]:
+    """
+    The cell as the records of ``_zone`` sorted by (l(e), e), with the
+    reduced words read off code vectors as runs: the word of e is the
+    concatenation of ``runs[i][c_i]``, where ``runs[i][c]`` is ``render`` of
+    the run (i, i-1, ..., i-c+1), for every c up to the largest c_i of the
+    cell, so the table follows the output, not n³.  The head holds the
+    nonempty runs of w_J the same way: w_J reverses each block of positions,
+    so its code counts 0, 1, ..., p-1 along a block of p.
+    """
+    zone = _zone(parts, bound)
+    zone.sort()  # by (l(e), e); e never repeats, so nothing further is compared
+    top = map(max, zip(*(code for _, _, _, code in zone)))
+    runs = [[render(range(i, i - c, -1)) for c in range(t + 1)] for i, t in enumerate(top)]
+    starts = accumulate(parts, initial=0)
+    head = [render(range(i, a, -1)) for a, p in zip(starts, parts) for i in range(a + 1, a + p)]
+    return head, zone, runs
 
 
 def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
@@ -321,18 +337,18 @@ def cell_elements(
     (w_J e, word of w_J followed by word of e), for e running over Z.
     Lengths add because e is a minimal coset representative.  Ordered by
     (length, row-form) of e.  The search behind Z records w_J e, l(e) and
-    the word of e, the lex-least one that ``reduced_word`` gives, read off
-    the code vector of e; only w_J's word comes from ``reduced_word``.
+    the code vector of e; each word is the lex-least one, the one
+    ``reduced_word`` gives, read off the codes of w_J and e through a run
+    table built once per call.
 
     >>> [(w, word) for w, word in cell_elements((2, 1))]
     [((2, 1, 3), (1,)), ((3, 1, 2), (1, 2))]
     """
     parts = check_composition(parts)
-    zone = _zone(parts, bound)
-    zone.sort()  # by (l(e), e); e never repeats, so nothing further is compared
-    w_j_word = reduced_word(longest_parabolic_element(parts))
-    for _, _, w, runs in zone:
-        yield w, w_j_word + tuple(chain.from_iterable(runs))
+    head, records, runs = _cell(parts, bound, tuple)
+    head = tuple(chain.from_iterable(head))
+    for _, _, w, code in records:
+        yield w, head + tuple(chain.from_iterable(map(getitem, runs, code)))
 
 
 def star_extend(diagram: Diagram) -> Diagram:

@@ -43,6 +43,13 @@ CELL_12_DIGESTS = {
     "text": "a85421b8c0ad92dc4aad26c133314d4c51a5e399f938b98f02abdde505705d4c",
 }
 
+# sha256 of the stdout of `klrim cell --composition 2,1,3,1,2,3,2 --max-n 14
+# --format <format>`: 14014 elements, a composition with no closed form
+CELL_14_DIGESTS = {
+    "json": "22d178ae06291e1d9ec8b133be6baf220dde3f0df666cdd3c1c977414fc18fee",
+    "text": "f3385ae9375fd8be3b5d62d6a5178b9c418a8cdfa7f8b75ed3eb0faea064eb56",
+}
+
 # sha256 of the stdout of `klrim rim --method <method> --format <format>`,
 # concatenated over every composition of n = 1..7 in compositions_of order,
 # then search and, where a closed form exists, closed, then json and text
@@ -332,6 +339,13 @@ def test_an_n12_cell_is_pinned_byte_for_byte(fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == CELL_12_DIGESTS[fmt]
 
 
+@pytest.mark.parametrize("fmt", sorted(CELL_14_DIGESTS))
+def test_an_n14_cell_is_pinned_byte_for_byte(fmt):
+    code, out = run(["cell", "--composition", "2,1,3,1,2,3,2", "--max-n", "14", "--format", fmt])
+    assert code == 0 and out.count("\n") == 14014
+    assert hashlib.sha256(out.encode()).hexdigest() == CELL_14_DIGESTS[fmt]
+
+
 def test_cell_json_lines_are_the_json_dumps_text():
     cases = [(parts, None) for n in range(1, 9) for parts in compositions_of(n)]
     for parts, bound in cases + [((1, 3, 2, 1, 3, 2), 12)]:
@@ -342,6 +356,23 @@ def test_cell_json_lines_are_the_json_dumps_text():
             for w, word in rims.cell_elements(parts, bound)
         ]
         assert code == 0 and out.splitlines() == expected, parts
+
+
+def test_cell_text_lines_are_the_rendered_elements():
+    cases = [(parts, None) for n in range(1, 9) for parts in compositions_of(n)]
+    for parts, bound in cases + [((1, 3, 2, 1, 3, 2), 12)]:
+        argv = ["cell", "--composition", ",".join(map(str, parts)), "--format", "text"]
+        code, out = run(argv + (["--max-n", str(bound)] if bound else []))
+        expected = [
+            f"{list(w)}  word: {cli._render_word(word)}"
+            for w, word in rims.cell_elements(parts, bound)
+        ]
+        assert code == 0 and out.splitlines() == expected, parts
+    assert run(["cell", "--composition", "1", "--format", "text"]) == (0, "[1]  word: (identity)\n")
+    assert run(["cell", "--composition", "1,1,1", "--format", "text"]) == (
+        0,
+        "[1, 2, 3]  word: (identity)\n",
+    )
 
 
 def test_cell_count_only_counts_the_streamed_elements(capsys):

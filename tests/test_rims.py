@@ -1,6 +1,9 @@
 import hashlib
 import tracemalloc
+from functools import cached_property
+from itertools import chain
 from math import comb, factorial, prod
+from operator import getitem
 
 import pytest
 from hypothesis import given, strategies as st
@@ -40,6 +43,7 @@ from klrim.rims import (
     theta_star,
     verify_theorem,
     verify_theorems,
+    _cell,
     _d_tsu_diagram,
     _g_diagram,
     _h_diagram,
@@ -169,12 +173,19 @@ def test_zone_matches_inverse_insertion_of_every_tableau():
 
 
 def test_zone_records_length_cell_element_and_word():
+    # a record is (l(e), e, w_J e, code of e), and the words read off the
+    # codes of w_J and e through the run table are the lex-least ones
     for n in range(1, 9):
         for parts in compositions_of(n):
             w_j = longest_parabolic_element(parts)
-            for ell, e, w, runs in _zone(parts, bound=10):
-                word = tuple(k for run in runs for k in run)
-                assert (ell, w, word) == (length(e), compose(w_j, e), restart_reduced_word(e))
+            head, records, runs = _cell(parts, 10, tuple)
+            assert tuple(chain.from_iterable(head)) == restart_reduced_word(w_j)
+            for ell, e, w, code in records:
+                assert code == tuple(sum(e[j] > e[i] for j in range(i)) for i in range(n))
+                assert ell == sum(code) == length(e)
+                assert w == compose(w_j, e)
+                word = tuple(chain.from_iterable(map(getitem, runs, code)))
+                assert word == restart_reduced_word(e)
 
 
 def test_prefix_union_of_the_rim_is_the_zone():
@@ -217,6 +228,25 @@ def test_rim_diagrams_are_admissible_and_canonical():
                 assert d == diagram_from_element(y, parts)
                 assert is_admissible(d)
                 assert flag == is_special(d)
+
+
+def test_the_column_reading_is_computed_once_per_diagram(monkeypatch):
+    # the sort key of RimResult, its rim and the readback check of the search
+    # all read the one column reading a diagram keeps
+    computed = []  # the diagrams themselves, so that no id is reused
+    reading = Diagram.__dict__["column_reading"]
+
+    def counted(diagram):
+        computed.append(diagram)
+        return reading.func(diagram)
+
+    counting = cached_property(counted)
+    counting.__set_name__(Diagram, "column_reading")
+    monkeypatch.setattr(Diagram, "column_reading", counting)
+    for result in (rim_closed_form((1, 30, 1)), rim_search((2, 1, 3, 1, 2))):
+        assert result.rim == tuple(map(reading.func, result.diagrams))
+        assert {id(d) for d in result.diagrams} <= {id(d) for d in computed}
+    assert len(computed) == len({id(d) for d in computed}) > 30
 
 
 def test_rotation_duality():
