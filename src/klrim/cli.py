@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import getitem
 from typing import Any, Sequence
 
 from .compositions import Composition, check_composition
@@ -37,6 +36,7 @@ from .rims import (
     RimResult,
     THEOREMS,
     _cell,
+    _fields,
     cell_size,
     check_search_bound,
     rim_closed_form,
@@ -192,23 +192,28 @@ def _cmd_cell(args: argparse.Namespace, out, stdin) -> int:
     if args.count_only:
         print(cell_size(parts), file=out)
         return EXIT_OK
-    # each line is joined from texts made once per call, in the text
-    # json.dumps gives for lists of ints: the row-form from the texts of its
-    # values, the word from w_J's word and the run text of each code entry.
-    # A run text opens with the separator, which the word's first run drops.
+    # each line is translated from its record by texts made once per call, in
+    # the text json.dumps gives for lists of ints: the row-form from the
+    # texts of its values, the word from w_J's word and the run text of each
+    # code character.  A text opens with its separator, which the first
+    # value and the word's first run drop.
     sep = ", " if args.format == "json" else " "
     head, records, runs = _cell(parts, args.max_n, lambda run: "".join(f"{sep}{k}" for k in run))
     head = "".join(head)[len(sep):]
     cut = 0 if head else len(sep)
-    value = list(map(str, range(sum(parts) + 1))).__getitem__
+    n = sum(parts)
+    _, v, code = _fields(n)
+    values = [f", {k}" for k in range(n + 1)]
     if args.format == "json":
-        for _, _, w, code in records:
-            word = "".join(map(getitem, runs, code))[cut:]
-            out.write(f'{{"row_form": [{", ".join(map(value, w))}], "reduced_word": [{head}{word}]}}\n')
+        for record in records:
+            row = record[v].translate(values)[2:]
+            word = record[code].translate(runs)[cut:]
+            out.write(f'{{"row_form": [{row}], "reduced_word": [{head}{word}]}}\n')
     else:
-        for _, _, w, code in records:
-            word = head + "".join(map(getitem, runs, code))[cut:]
-            out.write(f"[{', '.join(map(value, w))}]  word: {word or '(identity)'}\n")
+        for record in records:
+            row = record[v].translate(values)[2:]
+            word = head + record[code].translate(runs)[cut:]
+            out.write(f"[{row}]  word: {word or '(identity)'}\n")
     return EXIT_OK
 
 

@@ -19,10 +19,13 @@ flags are read off them.  Each closed family is built once, as written; the
 rim of a reversed member is the half-turn of the reverse's rim.
 
 Both searches are one walk, ``_fiber``, of the Robinson-Schensted fiber
-{v : Q(v) = Q(w_J)} = w_J Z, with two callbacks.  The cell's callback
-records every element with the code vector of e, which gives l(e); the
-lex-least reduced words, and the lines of ``klrim cell``, are read off the
-codes through run tables built once per call.  ``rim_search`` cuts every
+{v : Q(v) = Q(w_J)} = w_J Z, with two callbacks; a step of the walk visits
+only the corners of its shape, listed once per shape.  The cell's callback
+records every element as one str, one character per entry of l(e), e,
+w_J e and the code vector of e, so the records sort as (l(e), e) by plain
+string comparison; the lex-least reduced words, and the lines of ``klrim
+cell``, are translated from the code characters through a run table that
+makes each run on first use.  ``rim_search`` cuts every
 subtree whose elements a dual Knuth move shows to have an extension inside
 Z, and tests the leaves that survive exactly; it never holds Z.  The cell
 size needs no search: it is f^{λ'}, the number of standard tableaux of the
@@ -35,8 +38,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, combinations
-from math import comb, factorial, prod
-from operator import getitem
+from math import comb, factorial, isqrt, prod
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .compositions import (
@@ -65,13 +68,13 @@ from .permutations import (
 )
 
 DEFAULT_SEARCH_BOUND = 10
+# the largest n with n(n+1)/2 <= 0x110000, the number of str characters
+_MAX_RECORD_N = (isqrt(8 * 0x110000 + 1) - 1) // 2
 
 THEOREMS = ("T2.16a", "T3.5a", "T3.7a", "T3.15a", "C3.16a", "P3.2a")
 
 # place(s, x, i, filled) -> whether the walk goes below step s; see _fiber
 Place = Callable[[int, int, int, int], bool]
-# the code vector of a permutation: entry i counts the larger entries left of i
-Code = tuple[int, ...]
 T = TypeVar("T")
 
 
@@ -150,41 +153,51 @@ def _fiber(
     true and s > 1, so ``place`` sees every element at s = 1.  Q(w_J) has
     descent set J, so every e is a minimal coset representative.
 
-    Each row of Q(w_J) has a bump table: the row, the row below it (empty
-    for the last row), the rows above it bottom-up and top-down.  A row
-    longer than the row below it ends in a corner.  The tables hold the very
-    lists of the rows, popped, bumped and appended in place, so a step
-    reads no row by index.
+    Each row of Q(w_J) has a bump table: the row, the rows above it
+    bottom-up and top-down, and its weight in a mixed radix over the row
+    lengths, so the remaining shape is an int that a pop from the row moves
+    by the weight.  The tables hold the very lists of the rows, popped,
+    bumped and appended in place, so a step reads no row by index.  The
+    corners of a shape, the rows longer than the row below, are listed as
+    their tables on the shape's first visit, once per call; a step loops
+    over those alone.
     """
     n = check_search_bound(sum(parts), bound)
     w_j = longest_parabolic_element(parts)
     q = rsk(w_j)[1]
     rows = [[x - 1 for x in row] for row in q]
     below = rows[1:] + [[]]
+    weights = accumulate((len(row) + 1 for row in rows), mul, initial=1)
     table = [
-        (row, below[r], tuple(reversed(rows[:r])), tuple(rows[:r]))
-        for r, row in enumerate(rows)
+        (row, tuple(reversed(rows[:r])), tuple(rows[:r]), weight)
+        for r, (row, weight) in enumerate(zip(rows, weights))
     ]
     slot = [x - 1 for x in w_j]
 
     def walk(place: Place) -> None:
-        def remove(s: int, filled: int) -> None:
-            for row, below, rising, falling in table:
-                if len(row) > len(below):
-                    x = row.pop()
-                    for up in rising:
-                        j = bisect_left(up, x) - 1
-                        up[j], x = x, up[j]
-                    i = slot[x]
-                    if place(s, x, i, filled) and s > 1:
-                        remove(s - 1, filled | 1 << i)
-                    for up in falling:
-                        j = bisect_left(up, x)
-                        up[j], x = x, up[j]
-                    row.append(x)
+        corners_of: dict[int, list] = {}  # shape -> the bump tables of its corners
+
+        def remove(s: int, filled: int, shape: int) -> None:
+            corners = corners_of.get(shape)
+            if corners is None:
+                corners = corners_of[shape] = [
+                    bumps for bumps, lower in zip(table, below) if len(bumps[0]) > len(lower)
+                ]
+            for row, rising, falling, weight in corners:
+                x = row.pop()
+                for up in rising:
+                    j = bisect_left(up, x) - 1
+                    up[j], x = x, up[j]
+                i = slot[x]
+                if place(s, x, i, filled) and s > 1:
+                    remove(s - 1, filled | 1 << i, shape + weight)
+                for up in falling:
+                    j = bisect_left(up, x)
+                    up[j], x = x, up[j]
+                row.append(x)
 
         try:
-            remove(n, 0)
+            remove(n, 0, 0)
         except RecursionError:
             raise SearchBoundExceeded(
                 f"n={n} exceeds the depth that the recursive fiber walk can reach "
@@ -199,55 +212,108 @@ def _fiber(
     return q, walk
 
 
-def _zone(
-    parts: Composition, bound: int | None
-) -> list[tuple[int, Perm, Perm, Code]]:
+def _check_record_range(n: int) -> int:
     """
-    Every element e of Z, in walk order, as (l(e), e, w_J e, code): the code
-    vector of e, c_i = #{j < i : e_j > e_i} over positions i counted from 0.
-    The walk of ``_fiber`` writes the entries of e largest first, so c_i
-    counts the positions left of i already written when i is; l(e) is its
-    sum, and the lex-least reduced word of e, the one ``reduced_word``
-    returns, is the concatenation of the runs (i, i-1, ..., i-c_i+1) over i.
+    n, after refusing with SearchBoundExceeded an n whose ``_zone`` records
+    would need characters past U+10FFFF: the largest is the code character
+    n(n+1)/2 - 1 of c_{n-1} = n-1.
     """
+    if n > _MAX_RECORD_N:
+        raise SearchBoundExceeded(
+            f"n={n} exceeds {_MAX_RECORD_N}, the largest n whose cell elements "
+            f"the one-character-per-entry records can hold"
+        )
+    return n
+
+
+def _zone(parts: Composition, bound: int | None) -> list[str]:
+    """
+    Every element e of Z, in walk order, as one str record: chr(l(e)), then
+    e and v = w_J e with one character chr(s) per entry s, then the code
+    vector of e, c_i = #{j < i : e_j > e_i} over positions i counted from 0,
+    with the entry c_i written as the character chr(i(i+1)/2 + c_i), a key
+    that names both i and c_i since c_i <= i.  The walk of ``_fiber`` writes
+    the entries of e largest first, so c_i counts the positions left of i
+    already written when i is; l(e) is its sum, and the lex-least reduced
+    word of e, the one ``reduced_word`` returns, is the concatenation of the
+    runs (i, i-1, ..., i-c_i+1) over i.  Records compare as (l(e), e), and
+    ``_decode`` reads one back.
+    """
+    n = _check_record_range(check_search_bound(sum(parts), bound))
     _, walk = _fiber(parts, bound)
-    n = sum(parts)
     left = [(1 << i) - 1 for i in range(n)]
-    e, v, code = [0] * n, [0] * n, [0] * n
+    off = [i * (i + 1) // 2 for i in range(n)]
+    entry = [chr(s) for s in range(n + 1)]
+    # record[e + i] = e_i, record[v + x] = v_x, record[code + i] = the code character of i
+    e, v, code = (field.start for field in _fields(n))
+    record = [""] * (1 + 3 * n)
     length = [0] * (n + 2)  # length[s]: the code entries written by steps n..s
     zone = []
 
     def place(s: int, x: int, i: int, filled: int) -> bool:
-        c = code[i] = (filled & left[i]).bit_count()
-        e[i], v[x] = s, s
+        c = (filled & left[i]).bit_count()
+        record[e + i] = record[v + x] = entry[s]
+        record[code + i] = chr(off[i] + c)
         length[s] = length[s + 1] + c
         if s == 1:
-            zone.append((length[1], tuple(e), tuple(v), tuple(code)))
+            record[0] = chr(length[1])
+            zone.append("".join(record))
         return True
 
     walk(place)
     return zone
 
 
+def _fields(n: int) -> tuple[slice, slice, slice]:
+    """Where e, w_J e and the code characters stand in a ``_zone`` record."""
+    return slice(1, 1 + n), slice(1 + n, 1 + 2 * n), slice(1 + 2 * n, None)
+
+
+def _decode(record: str) -> tuple[int, Perm, Perm, tuple[int, ...]]:
+    """
+    A record of ``_zone`` as (l(e), e, w_J e, keys): key i is i(i+1)/2 + c_i,
+    the code entry of position i as ``_Runs`` looks it up.
+    """
+    entries = tuple(map(ord, record))
+    e, v, code = _fields((len(record) - 1) // 3)
+    return entries[0], entries[e], entries[v], entries[code]
+
+
+class _Runs(dict):
+    """
+    ``render`` of the run (i, i-1, ..., i-c+1) under the key i(i+1)/2 + c,
+    made on the key's first lookup, so only the runs of code entries that
+    occur are made.  The keys are the code characters of ``_zone`` records
+    as ``str.translate`` looks them up.
+    """
+
+    def __init__(self, render: Callable[[range], T]) -> None:
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key: int) -> T:
+        i = (isqrt(8 * key + 1) - 1) // 2
+        run = self[key] = self.render(range(i, i - (key - i * (i + 1) // 2), -1))
+        return run
+
+
 def _cell(
     parts: Composition, bound: int | None, render: Callable[[range], T]
-) -> tuple[list[T], list[tuple[int, Perm, Perm, Code]], list[list[T]]]:
+) -> tuple[list[T], list[str], _Runs]:
     """
-    The cell as the records of ``_zone`` sorted by (l(e), e), with the
-    reduced words read off code vectors as runs: the word of e is the
-    concatenation of ``runs[i][c_i]``, where ``runs[i][c]`` is ``render`` of
-    the run (i, i-1, ..., i-c+1), for every c up to the largest c_i of the
-    cell, so the table follows the output, not n³.  The head holds the
-    nonempty runs of w_J the same way: w_J reverses each block of positions,
-    so its code counts 0, 1, ..., p-1 along a block of p.
+    The cell as the records of ``_zone`` sorted by (l(e), e), which is the
+    order of the strings, with the reduced words read off code characters
+    as runs: the word of e is the concatenation of ``runs[k]`` over the code
+    keys k of its record, where ``runs`` makes ``render`` of each run on
+    first use, so the table follows the output, not n³.  The head holds the
+    nonempty runs of w_J: w_J reverses each block of positions, so its code
+    counts 0, 1, ..., p-1 along a block of p.
     """
     zone = _zone(parts, bound)
     zone.sort()  # by (l(e), e); e never repeats, so nothing further is compared
-    top = map(max, zip(*(code for _, _, _, code in zone)))
-    runs = [[render(range(i, i - c, -1)) for c in range(t + 1)] for i, t in enumerate(top)]
     starts = accumulate(parts, initial=0)
     head = [render(range(i, a, -1)) for a, p in zip(starts, parts) for i in range(a + 1, a + p)]
-    return head, zone, runs
+    return head, zone, _Runs(render)
 
 
 def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
@@ -336,10 +402,11 @@ def cell_elements(
     Every element of the cell with a reduced word for it: pairs
     (w_J e, word of w_J followed by word of e), for e running over Z.
     Lengths add because e is a minimal coset representative.  Ordered by
-    (length, row-form) of e.  The search behind Z records w_J e, l(e) and
-    the code vector of e; each word is the lex-least one, the one
-    ``reduced_word`` gives, read off the codes of w_J and e through a run
-    table built once per call.
+    (length, row-form) of e.  The search behind Z records l(e), e, w_J e
+    and the code vector of e in one str per element, decoded here by
+    ``ord``; each word is the lex-least one, the one ``reduced_word``
+    gives, read off the codes of w_J and e through a run table that makes
+    each run once per call.
 
     >>> [(w, word) for w, word in cell_elements((2, 1))]
     [((2, 1, 3), (1,)), ((3, 1, 2), (1, 2))]
@@ -347,8 +414,8 @@ def cell_elements(
     parts = check_composition(parts)
     head, records, runs = _cell(parts, bound, tuple)
     head = tuple(chain.from_iterable(head))
-    for _, _, w, code in records:
-        yield w, head + tuple(chain.from_iterable(map(getitem, runs, code)))
+    for _, _, w, keys in map(_decode, records):
+        yield w, head + tuple(chain.from_iterable(map(runs.__getitem__, keys)))
 
 
 def star_extend(diagram: Diagram) -> Diagram:

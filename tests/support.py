@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from itertools import combinations, groupby
 
 from klrim import (
@@ -27,7 +28,7 @@ from klrim import (
     star_extend,
     young_diagram,
 )
-from klrim.rims import _p_diagram, _zone
+from klrim.rims import _decode, _p_diagram, _zone
 
 
 def compress_nodes(nodes) -> tuple[Node, ...]:
@@ -161,6 +162,45 @@ def inverse_insertion_zone(parts) -> list[Perm]:
     )
 
 
+def row_scanning_walk(parts):
+    """
+    The fiber walk of ``rims._fiber`` without corner lists: at every step
+    it tests each row of the remaining shape for a corner, a row longer
+    than the row below it, and reverse-bumps from each corner in row order.
+    ``walk(place)`` makes the calls ``place(s, x, i, filled)`` that
+    ``_fiber``'s walk makes, in the same order; the reference for its
+    corner lists.
+    """
+    w_j = longest_parabolic_element(parts)
+    rows = [[x - 1 for x in row] for row in rsk(w_j)[1]]
+    below = rows[1:] + [[]]
+    table = [
+        (row, below[r], tuple(reversed(rows[:r])), tuple(rows[:r]))
+        for r, row in enumerate(rows)
+    ]
+    slot = [x - 1 for x in w_j]
+
+    def walk(place) -> None:
+        def remove(s: int, filled: int) -> None:
+            for row, lower, rising, falling in table:
+                if len(row) > len(lower):
+                    x = row.pop()
+                    for up in rising:
+                        j = bisect_left(up, x) - 1
+                        up[j], x = x, up[j]
+                    i = slot[x]
+                    if place(s, x, i, filled) and s > 1:
+                        remove(s - 1, filled | 1 << i)
+                    for up in falling:
+                        j = bisect_left(up, x)
+                        up[j], x = x, up[j]
+                    row.append(x)
+
+        remove(sum(parts), 0)
+
+    return walk
+
+
 def full_zone_rim(parts) -> RimResult:
     """
     The rim by filtering all of Z: the elements e of ``rims._zone`` such
@@ -168,7 +208,7 @@ def full_zone_rim(parts) -> RimResult:
     the result holds their diagrams.  The reference for the pruned search
     in ``rim_search``, which never holds Z.
     """
-    zone = [e for _, e, _, _ in _zone(parts, sum(parts))]
+    zone = [_decode(record)[1] for record in _zone(parts, sum(parts))]
     zset = set(zone)
     rim = []
     for e in zone:

@@ -425,6 +425,20 @@ def test_a_walk_past_the_recursion_limit_is_refused(argv, capsys):
     assert err.count("\n") == 1
 
 
+def test_a_cell_past_the_record_character_range_is_refused(capsys):
+    # a cell record holds the code entry c_i as the character i(i+1)/2 + c_i,
+    # which passes U+10FFFF from n = 1493 on, whatever the recursion limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(5000)
+    try:
+        assert run(["cell", "--composition", "1493", "--max-n", "2000"]) == (2, "")
+    finally:
+        sys.setrecursionlimit(limit)
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=1493 exceeds 1492, ")
+    assert err.count("\n") == 1
+
+
 def test_order_path_round_trip():
     seven = {
         "paths": [

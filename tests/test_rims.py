@@ -3,7 +3,6 @@ import tracemalloc
 from functools import cached_property
 from itertools import chain
 from math import comb, factorial, prod
-from operator import getitem
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,7 +43,10 @@ from klrim.rims import (
     verify_theorem,
     verify_theorems,
     _cell,
+    _check_record_range,
     _d_tsu_diagram,
+    _decode,
+    _fiber,
     _g_diagram,
     _h_diagram,
     _p_diagram,
@@ -64,6 +66,7 @@ from support import (
     l_fixture,
     prefix_union,
     restart_reduced_word,
+    row_scanning_walk,
     staircase_row_form,
     star_extended_staircase,
 )
@@ -133,7 +136,7 @@ def test_the_witness_rule_misses_some_recording_preserving_swaps():
 
 def zone_of(parts):
     """Z as a sorted list of row-forms."""
-    return sorted(e for _, e, _, _ in _zone(parts, bound=10))
+    return sorted(_decode(record)[1] for record in _zone(parts, bound=10))
 
 
 def test_zone_prefix_closed_and_rim_maximal():
@@ -172,19 +175,55 @@ def test_zone_matches_inverse_insertion_of_every_tableau():
             assert zone_of(parts) == inverse_insertion_zone(parts), parts
 
 
+def walk_trace(walk, prune):
+    """Every call the walk makes to place, which cuts below (s, x, i) when
+    ``prune`` says so."""
+    trace = []
+
+    def place(s, x, i, filled):
+        trace.append((s, x, i, filled))
+        return not prune(s, x, i)
+
+    walk(place)
+    return trace
+
+
+def test_the_corner_walk_makes_the_calls_of_the_row_scanning_walk():
+    # the whole place trace, on full walks and on walks cut at about one
+    # call in five, so pruned subtrees leave the corner lists as they found
+    # them
+    def never(s, x, i):
+        return False
+
+    def sometimes(s, x, i):
+        return (31 * s + 7 * x + i) % 5 == 0
+
+    n12 = [(3, 1, 2, 4, 2), (1, 3, 2, 1, 3, 2), (2, 2, 2, 2, 2, 2), (4, 1, 3, 1, 3)]
+    cut = 0
+    for parts in chain(*map(compositions_of, range(1, 9)), n12):
+        full = walk_trace(row_scanning_walk(parts), never)
+        pruned = walk_trace(row_scanning_walk(parts), sometimes)
+        assert walk_trace(_fiber(parts, 12)[1], never) == full, parts
+        assert walk_trace(_fiber(parts, 12)[1], sometimes) == pruned, parts
+        cut += len(pruned) < len(full)
+    assert cut > 200
+
+
 def test_zone_records_length_cell_element_and_word():
-    # a record is (l(e), e, w_J e, code of e), and the words read off the
-    # codes of w_J and e through the run table are the lex-least ones
+    # a record holds l(e), e, w_J e and the code of e, each code entry c_i as
+    # the key i(i+1)/2 + c_i, and the words read off the codes of w_J and e
+    # through the run table are the lex-least ones
     for n in range(1, 9):
         for parts in compositions_of(n):
             w_j = longest_parabolic_element(parts)
             head, records, runs = _cell(parts, 10, tuple)
             assert tuple(chain.from_iterable(head)) == restart_reduced_word(w_j)
-            for ell, e, w, code in records:
+            for ell, e, w, keys in map(_decode, records):
+                code = tuple(k - i * (i + 1) // 2 for i, k in enumerate(keys))
                 assert code == tuple(sum(e[j] > e[i] for j in range(i)) for i in range(n))
                 assert ell == sum(code) == length(e)
                 assert w == compose(w_j, e)
-                word = tuple(chain.from_iterable(map(getitem, runs, code)))
+                word = tuple(chain.from_iterable(map(runs.__getitem__, keys)))
                 assert word == restart_reduced_word(e)
 
 
@@ -468,6 +507,53 @@ def test_zone_memory_follows_the_cell_not_n_cubed():
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
+
+
+def test_zone_holds_one_short_string_per_element():
+    # one str of 1 + 3n characters and its list slot, about 100 B at n = 14
+    parts = (2, 1, 3, 1, 2, 3, 2)
+    tracemalloc.start()
+    try:
+        zone = _zone(parts, 14)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(zone) == cell_size(parts) == 14014
+    assert held / len(zone) < 200
+
+
+def test_a_one_element_cell_at_n_900_peaks_no_higher_than_with_tuple_records():
+    # 13,729,184 B is the tracemalloc peak when each element was held as
+    # four tuples and the runs as one table per position; nearly all of it
+    # is w_J's word, 404,550 generators held in runs, head and line
+    tracemalloc.start()
+    try:
+        assert len(list(cell_elements((900,), 2000))) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13_729_184
+
+
+def test_cell_elements_at_n_14_are_pinned():
+    # sha256 of the repr of the whole list, from the tuple records' decode
+    elements = list(cell_elements((2, 1, 3, 1, 2, 3, 2), 14))
+    assert len(elements) == 14014
+    digest = hashlib.sha256(repr(elements).encode()).hexdigest()
+    assert digest == "5ec1842f6c14a923b9dc6ac28e018b2e73e2388c29138b4749307db74ef66948"
+
+
+def test_cell_records_refuse_an_n_past_the_character_range():
+    # the code character of c_{n-1} = n-1 is n(n+1)/2 - 1, and str stops at
+    # U+10FFFF: 1492 * 1493 / 2 = 1,113,778 <= 0x110000 < 1493 * 1494 / 2
+    assert _check_record_range(1492) == 1492
+    with pytest.raises(SearchBoundExceeded, match="^n=1493 exceeds 1492, "):
+        _check_record_range(1493)
+    with pytest.raises(SearchBoundExceeded, match="^n=1493 exceeds 1492, "):
+        next(cell_elements((1493,), 2000))
+    # the search bound is still checked first
+    with pytest.raises(SearchBoundExceeded, match="^n=1493 exceeds the search bound 1000"):
+        next(cell_elements((1493,), 1000))
 
 
 def test_rim_result_derives_rim_and_flags_from_its_diagrams():
