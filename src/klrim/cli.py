@@ -199,7 +199,7 @@ def _cmd_cell(args: argparse.Namespace, out, stdin) -> int:
     # value and the word's first run drop.
     sep = ", " if args.format == "json" else " "
     head, records, runs = _cell(parts, args.max_n, lambda run: "".join(f"{sep}{k}" for k in run))
-    head = "".join(head)[len(sep):]
+    head = head[len(sep):]
     cut = 0 if head else len(sep)
     n = sum(parts)
     _, v, code = _fields(n)

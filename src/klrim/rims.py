@@ -23,13 +23,14 @@ Both searches are one walk, ``_fiber``, of the Robinson-Schensted fiber
 only the corners of its shape, listed once per shape.  The cell's callback
 records every element as one str, one character per entry of l(e), e,
 w_J e and the code vector of e, so the records sort as (l(e), e) by plain
-string comparison; the lex-least reduced words, and the lines of ``klrim
-cell``, are translated from the code characters through a run table that
-makes each run on first use.  ``rim_search`` cuts every
-subtree whose elements a dual Knuth move shows to have an extension inside
-Z, and tests the leaves that survive exactly; it never holds Z.  The cell
-size needs no search: it is f^{λ'}, the number of standard tableaux of the
-shape of Q(w_J), by the hook-length formula.
+string comparison.  ``_cell`` sorts them and translates their code
+characters to the lex-least reduced words through a run table that makes
+each run's text on first use; ``klrim cell`` renders a generator as its
+decimal text, ``cell_elements`` as one character.  ``rim_search`` cuts
+every subtree whose elements a dual Knuth move shows to have an extension
+inside Z, and tests the leaves that survive exactly; it never holds Z.  The
+cell size needs no search: it is f^{λ'}, the number of standard tableaux of
+the shape of Q(w_J), by the hook-length formula.
 """
 from __future__ import annotations
 
@@ -37,10 +38,10 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations
 from math import comb, factorial, isqrt, prod
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .compositions import (
     Composition,
@@ -75,7 +76,6 @@ THEOREMS = ("T2.16a", "T3.5a", "T3.7a", "T3.15a", "C3.16a", "P3.2a")
 
 # place(s, x, i, filled) -> whether the walk goes below step s; see _fiber
 Place = Callable[[int, int, int, int], bool]
-T = TypeVar("T")
 
 
 class SearchBoundExceeded(ValueError):
@@ -236,8 +236,7 @@ def _zone(parts: Composition, bound: int | None) -> list[str]:
     the entries of e largest first, so c_i counts the positions left of i
     already written when i is; l(e) is its sum, and the lex-least reduced
     word of e, the one ``reduced_word`` returns, is the concatenation of the
-    runs (i, i-1, ..., i-c_i+1) over i.  Records compare as (l(e), e), and
-    ``_decode`` reads one back.
+    runs (i, i-1, ..., i-c_i+1) over i.  Records compare as (l(e), e).
     """
     n = _check_record_range(check_search_bound(sum(parts), bound))
     _, walk = _fiber(parts, bound)
@@ -269,51 +268,41 @@ def _fields(n: int) -> tuple[slice, slice, slice]:
     return slice(1, 1 + n), slice(1 + n, 1 + 2 * n), slice(1 + 2 * n, None)
 
 
-def _decode(record: str) -> tuple[int, Perm, Perm, tuple[int, ...]]:
-    """
-    A record of ``_zone`` as (l(e), e, w_J e, keys): key i is i(i+1)/2 + c_i,
-    the code entry of position i as ``_Runs`` looks it up.
-    """
-    entries = tuple(map(ord, record))
-    e, v, code = _fields((len(record) - 1) // 3)
-    return entries[0], entries[e], entries[v], entries[code]
-
-
 class _Runs(dict):
     """
-    ``render`` of the run (i, i-1, ..., i-c+1) under the key i(i+1)/2 + c,
-    made on the key's first lookup, so only the runs of code entries that
-    occur are made.  The keys are the code characters of ``_zone`` records
-    as ``str.translate`` looks them up.
+    The text ``render`` makes of the run (i, i-1, ..., i-c+1), under the key
+    i(i+1)/2 + c, made on the key's first lookup, so only the runs of code
+    entries that occur are made.  The code field of a ``_zone`` record
+    translates through it to the text of the record's word.
     """
 
-    def __init__(self, render: Callable[[range], T]) -> None:
+    def __init__(self, render: Callable[[range], str]) -> None:
         super().__init__()
         self.render = render
 
-    def __missing__(self, key: int) -> T:
+    def __missing__(self, key: int) -> str:
         i = (isqrt(8 * key + 1) - 1) // 2
         run = self[key] = self.render(range(i, i - (key - i * (i + 1) // 2), -1))
         return run
 
 
 def _cell(
-    parts: Composition, bound: int | None, render: Callable[[range], T]
-) -> tuple[list[T], list[str], _Runs]:
+    parts: Composition, bound: int | None, render: Callable[[range], str]
+) -> tuple[str, list[str], _Runs]:
     """
     The cell as the records of ``_zone`` sorted by (l(e), e), which is the
-    order of the strings, with the reduced words read off code characters
-    as runs: the word of e is the concatenation of ``runs[k]`` over the code
-    keys k of its record, where ``runs`` makes ``render`` of each run on
-    first use, so the table follows the output, not n³.  The head holds the
-    nonempty runs of w_J: w_J reverses each block of positions, so its code
-    counts 0, 1, ..., p-1 along a block of p.
+    order of the strings, with the text of each reduced word read off code
+    characters as runs: the word of w_J e is ``head`` followed by the code
+    field of its record translated through ``runs``, which makes ``render``
+    of each run on first use, so the table follows the output, not n³.  The
+    head is the text of w_J's word: w_J reverses each block of positions,
+    so its code counts 0, 1, ..., p-1 along a block of p.
     """
     zone = _zone(parts, bound)
     zone.sort()  # by (l(e), e); e never repeats, so nothing further is compared
     starts = accumulate(parts, initial=0)
     head = [render(range(i, a, -1)) for a, p in zip(starts, parts) for i in range(a + 1, a + p)]
-    return head, zone, _Runs(render)
+    return "".join(head), zone, _Runs(render)
 
 
 def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
@@ -402,20 +391,25 @@ def cell_elements(
     Every element of the cell with a reduced word for it: pairs
     (w_J e, word of w_J followed by word of e), for e running over Z.
     Lengths add because e is a minimal coset representative.  Ordered by
-    (length, row-form) of e.  The search behind Z records l(e), e, w_J e
-    and the code vector of e in one str per element, decoded here by
-    ``ord``; each word is the lex-least one, the one ``reduced_word``
-    gives, read off the codes of w_J and e through a run table that makes
-    each run once per call.
+    (length, row-form) of e.  The call checks its input and walks the fiber;
+    the pairs are made as they are read, off the records as ``klrim cell``
+    reads them, with one character per generator in place of its text.
+    Each word is the lex-least one, the one ``reduced_word`` gives, and the
+    characters become ints through one list per call, which all pairs share.
 
     >>> [(w, word) for w, word in cell_elements((2, 1))]
     [((2, 1, 3), (1,)), ((3, 1, 2), (1, 2))]
     """
     parts = check_composition(parts)
-    head, records, runs = _cell(parts, bound, tuple)
-    head = tuple(chain.from_iterable(head))
-    for _, _, w, keys in map(_decode, records):
-        yield w, head + tuple(chain.from_iterable(map(runs.__getitem__, keys)))
+    head, records, runs = _cell(parts, bound, lambda run: "".join(map(chr, run)))
+    n = sum(parts)
+    _, v, code = _fields(n)
+    number = list(range(n + 1)).__getitem__
+
+    def ints(text: str) -> tuple[int, ...]:
+        return tuple(map(number, map(ord, text)))
+
+    return ((ints(record[v]), ints(head + record[code].translate(runs))) for record in records)
 
 
 def star_extend(diagram: Diagram) -> Diagram:
@@ -503,9 +497,6 @@ def _p_diagram(rows: int, v: int) -> Diagram:
     if v == 0:
         nodes = {(i, 1) for i in range(1, r + 1)}
         nodes.update((i, 2) for i in range(2, r))
-    elif v == r - 2:
-        nodes = {(i, 1) for i in range(2, r)}
-        nodes.update((i, 2) for i in range(1, r + 1))
     else:
         nodes = {(i, 1) for i in range(2, v + 2)}
         nodes.update((i, 2) for i in range(1, r + 1))
@@ -744,9 +735,11 @@ def verify_theorems(
     Exhaustively compare closed-form rules, each one of the identifiers in
     ``THEOREMS``, against the search engine, over every applicable
     composition of every n <= max_n.  Each composition is searched once per
-    call, however many rules check it.  A rule with no applicable
-    composition raises ValueError rather than pass on zero checks.
+    call, however many rules check it.  No rules, or a rule with no
+    applicable composition, raise ValueError rather than pass on zero checks.
     """
+    if not theorems:
+        raise ValueError(f"no rule to verify; choose from {THEOREMS}")
     for theorem in theorems:
         if theorem not in _CHECKERS:
             raise ValueError(f"unknown rule {theorem!r}; choose from {THEOREMS}")

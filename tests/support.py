@@ -28,7 +28,18 @@ from klrim import (
     star_extend,
     young_diagram,
 )
-from klrim.rims import _decode, _p_diagram, _zone
+from klrim.rims import _fields, _p_diagram, _zone
+
+
+def decode(record: str) -> tuple[int, Perm, Perm, tuple[int, ...]]:
+    """
+    A record of ``rims._zone`` as (l(e), e, w_J e, keys): key i is
+    i(i+1)/2 + c_i, the code entry of position i as ``rims._Runs`` looks
+    it up.
+    """
+    entries = tuple(map(ord, record))
+    e, v, code = _fields((len(record) - 1) // 3)
+    return entries[0], entries[e], entries[v], entries[code]
 
 
 def compress_nodes(nodes) -> tuple[Node, ...]:
@@ -208,7 +219,7 @@ def full_zone_rim(parts) -> RimResult:
     the result holds their diagrams.  The reference for the pruned search
     in ``rim_search``, which never holds Z.
     """
-    zone = [_decode(record)[1] for record in _zone(parts, sum(parts))]
+    zone = [decode(record)[1] for record in _zone(parts, sum(parts))]
     zset = set(zone)
     rim = []
     for e in zone:

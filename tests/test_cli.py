@@ -439,6 +439,15 @@ def test_a_cell_past_the_record_character_range_is_refused(capsys):
     assert err.count("\n") == 1
 
 
+def test_a_huge_cell_under_an_equally_huge_bound_is_refused_before_any_work(capsys):
+    # the range is checked before w_J or Q(w_J) is built, so this returns at once
+    argv = ["cell", "--composition", "1000000000", "--max-n", "1000000000"]
+    assert run(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=1000000000 exceeds 1492, ")
+    assert err.count("\n") == 1
+
+
 def test_order_path_round_trip():
     seven = {
         "paths": [

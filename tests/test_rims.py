@@ -45,7 +45,6 @@ from klrim.rims import (
     _cell,
     _check_record_range,
     _d_tsu_diagram,
-    _decode,
     _fiber,
     _g_diagram,
     _h_diagram,
@@ -59,6 +58,7 @@ from klrim.rims import (
 from support import (
     bfs_zone,
     coset_reps,
+    decode,
     f_fixture,
     full_zone_rim,
     inverse_insertion_zone,
@@ -136,7 +136,7 @@ def test_the_witness_rule_misses_some_recording_preserving_swaps():
 
 def zone_of(parts):
     """Z as a sorted list of row-forms."""
-    return sorted(_decode(record)[1] for record in _zone(parts, bound=10))
+    return sorted(decode(record)[1] for record in _zone(parts, bound=10))
 
 
 def test_zone_prefix_closed_and_rim_maximal():
@@ -216,14 +216,14 @@ def test_zone_records_length_cell_element_and_word():
     for n in range(1, 9):
         for parts in compositions_of(n):
             w_j = longest_parabolic_element(parts)
-            head, records, runs = _cell(parts, 10, tuple)
-            assert tuple(chain.from_iterable(head)) == restart_reduced_word(w_j)
-            for ell, e, w, keys in map(_decode, records):
+            head, records, runs = _cell(parts, 10, lambda run: "".join(map(chr, run)))
+            assert tuple(map(ord, head)) == restart_reduced_word(w_j)
+            for ell, e, w, keys in map(decode, records):
                 code = tuple(k - i * (i + 1) // 2 for i, k in enumerate(keys))
                 assert code == tuple(sum(e[j] > e[i] for j in range(i)) for i in range(n))
                 assert ell == sum(code) == length(e)
                 assert w == compose(w_j, e)
-                word = tuple(chain.from_iterable(map(runs.__getitem__, keys)))
+                word = tuple(map(ord, "".join(map(runs.__getitem__, keys))))
                 assert word == restart_reduced_word(e)
 
 
@@ -523,16 +523,17 @@ def test_zone_holds_one_short_string_per_element():
 
 
 def test_a_one_element_cell_at_n_900_peaks_no_higher_than_with_tuple_records():
-    # 13,729,184 B is the tracemalloc peak when each element was held as
-    # four tuples and the runs as one table per position; nearly all of it
-    # is w_J's word, 404,550 generators held in runs, head and line
+    # w_J's word has 404,550 generators.  Read as tuples of runs, a flat
+    # tuple and the line, each its own ints, it peaked at 13.6 MB; read as
+    # one text of characters, with one shared int per generator, the line's
+    # tuple of 8-byte slots is most of the peak, about 7.6 MB
     tracemalloc.start()
     try:
         assert len(list(cell_elements((900,), 2000))) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 13_729_184
+    assert peak < 10_000_000
 
 
 def test_cell_elements_at_n_14_are_pinned():
@@ -554,6 +555,17 @@ def test_cell_records_refuse_an_n_past_the_character_range():
     # the search bound is still checked first
     with pytest.raises(SearchBoundExceeded, match="^n=1493 exceeds the search bound 1000"):
         next(cell_elements((1493,), 1000))
+    # and the range before anything of size n is built, however large n is
+    with pytest.raises(SearchBoundExceeded, match="^n=1000000000 exceeds 1492, "):
+        cell_elements((10**9,), 10**9)
+
+
+def test_cell_elements_refuses_when_called_not_when_read():
+    # nothing is iterated: the checks and the walk run at the call
+    with pytest.raises(SearchBoundExceeded, match="^n=11 exceeds the search bound 10"):
+        cell_elements((1,) * 11)
+    with pytest.raises(ValueError, match="^composition parts must be positive"):
+        cell_elements((0,))
 
 
 def test_rim_result_derives_rim_and_flags_from_its_diagrams():
@@ -593,3 +605,12 @@ def test_verify_theorems_searches_each_composition_once_per_call(monkeypatch):
     assert len(searched) > len(set(searched))
     with pytest.raises(ValueError):
         verify_theorems(("T2.16a", "T9.99"), max_n=5)
+
+
+def test_verify_theorems_refuses_an_empty_rule_list(monkeypatch):
+    # no rule means no check, which must not read as a pass
+    searched = []
+    monkeypatch.setattr(rims, "rim_search", lambda parts, bound=None: searched.append(parts))
+    with pytest.raises(ValueError, match="^no rule to verify"):
+        verify_theorems((), 5)
+    assert searched == []
