@@ -20,7 +20,8 @@ rim of a reversed member is the half-turn of the reverse's rim.
 
 Both searches are one walk, ``_fiber``, of the Robinson-Schensted fiber
 {v : Q(v) = Q(w_J)} = w_J Z, with two callbacks; a step of the walk visits
-only the corners of its shape, listed once per shape.  The cell's callback
+only the corners of its shape, listed once per shape, and the last three
+steps are read off the values left, with no bumping.  The cell's callback
 records every element as one str, one character per entry of l(e), e,
 w_J e and the code vector of e, so the records sort as (l(e), e) by plain
 string comparison.  ``_cell`` sorts them and translates their code
@@ -28,9 +29,10 @@ characters to the lex-least reduced words through a run table that makes
 each run's text on first use; ``klrim cell`` renders a generator as its
 decimal text, ``cell_elements`` as one character.  ``rim_search`` cuts
 every subtree whose elements a dual Knuth move shows to have an extension
-inside Z, and tests the leaves that survive exactly; it never holds Z.  The
-cell size needs no search: it is f^{λ'}, the number of standard tableaux of
-the shape of Q(w_J), by the hook-length formula.
+inside Z, and tests the leaves that survive exactly, by an insertion that
+stops at the first box landing in another row than in Q(w_J); it never
+holds Z.  The cell size needs no search: it is f^{λ'}, the number of
+standard tableaux of the shape of Q(w_J), by the hook-length formula.
 """
 from __future__ import annotations
 
@@ -64,6 +66,7 @@ from .permutations import (
     Perm,
     Tableau,
     Word,
+    _insert,
     longest_parabolic_element,
     rsk,
 )
@@ -137,8 +140,9 @@ def _fiber(
     {v : Q(v) = Q(w_J)}, the elements w_J e for e in Z: ``walk(place)``
     calls ``place(s, x, i, filled)`` after each ejection.  The bound is
     checked before anything of size n is built.  The walk recurses once per
-    step; one that runs into Python's recursion limit is refused with
-    SearchBoundExceeded, before its caller has written anything.
+    step above the last three; one that runs into Python's recursion limit
+    is refused with SearchBoundExceeded, before its caller has written
+    anything.
 
     The fiber holds the inverses of {u : P(u) = Q(w_J)} (Schützenberger's
     symmetry P(v^-1) = Q(v)), so the walk reverse-bumps the fixed tableau
@@ -161,6 +165,14 @@ def _fiber(
     corners of a shape, the rows longer than the row below, are listed as
     their tables on the shape's first visit, once per call; a step loops
     over those alone.
+
+    The last three steps are closed: a shape of two boxes has one corner
+    and one of three at most two, so once three boxes remain, in rows 0-2,
+    their ejections are read off the values left there, with no pop, no
+    bump and no recursion.  A row [a, b, c] ejects c, b, a; a column [a],
+    [b], [c] ejects a, b, c; and [a, b] over [c] ejects b, a, c from its
+    first corner, then b, c, a if c > b and a, b, c otherwise from its
+    second.  A walk with n <= 2 starts inside these rules.
     """
     n = check_search_bound(sum(parts), bound)
     w_j = longest_parabolic_element(parts)
@@ -174,6 +186,9 @@ def _fiber(
     ]
     slot = [x - 1 for x in w_j]
 
+    # rows 0-2 hold every box of a shape of at most three
+    top, middle, bottom = (rows + [[], []])[:3]
+
     def walk(place: Place) -> None:
         corners_of: dict[int, list] = {}  # shape -> the bump tables of its corners
 
@@ -183,21 +198,54 @@ def _fiber(
                 corners = corners_of[shape] = [
                     bumps for bumps, lower in zip(table, below) if len(bumps[0]) > len(lower)
                 ]
+            deeper = remove if s > 4 else tail
             for row, rising, falling, weight in corners:
                 x = row.pop()
                 for up in rising:
                     j = bisect_left(up, x) - 1
                     up[j], x = x, up[j]
                 i = slot[x]
-                if place(s, x, i, filled) and s > 1:
-                    remove(s - 1, filled | 1 << i, shape + weight)
+                if place(s, x, i, filled):
+                    deeper(s - 1, filled | 1 << i, shape + weight)
                 for up in falling:
                     j = bisect_left(up, x)
                     up[j], x = x, up[j]
                 row.append(x)
 
+        def tail(s: int, filled: int, _shape: int = 0) -> None:
+            # the steps s <= 3 left, read off the values in rows 0-2
+            if s < 3:  # only a walk with n <= 2 starts here
+                if s == 1:
+                    place(1, top[0], slot[top[0]], filled)
+                elif len(top) == 2:
+                    two(filled, top[1], top[0])
+                else:
+                    two(filled, top[0], middle[0])
+            elif len(top) == 3:  # a row ejects from its end
+                a, b, c = top
+                three(filled, c, b, a)
+            elif len(top) == 1:  # a column ejects from its top
+                three(filled, top[0], middle[0], bottom[0])
+            else:  # [a, b] over [c]: the corner of row 0, then of row 1
+                (a, b), (c,) = top, middle
+                three(filled, b, a, c)
+                if c > b:
+                    three(filled, b, c, a)
+                else:
+                    three(filled, a, b, c)
+
+        def three(filled: int, x: int, y: int, z: int) -> None:
+            i = slot[x]
+            if place(3, x, i, filled):
+                two(filled | 1 << i, y, z)
+
+        def two(filled: int, x: int, y: int) -> None:
+            i = slot[x]
+            if place(2, x, i, filled):
+                place(1, y, slot[y], filled | 1 << i)
+
         try:
-            remove(n, 0, 0)
+            (remove if n > 3 else tail)(n, 0, 0)
         except RecursionError:
             raise SearchBoundExceeded(
                 f"n={n} exceeds the depth that the recursive fiber walk can reach "
@@ -305,6 +353,28 @@ def _cell(
     return "".join(head), zone, _Runs(render)
 
 
+def _landing_rows(q: Tableau) -> list[int]:
+    """The row of the recording tableau q holding each step 1, 2, ..., n."""
+    landing = [0] * sum(map(len, q))
+    for r, row in enumerate(q):
+        for step in row:
+            landing[step - 1] = r
+    return landing
+
+
+def _keeps_recording(w: Sequence[int], landing: Sequence[int]) -> bool:
+    """
+    Whether Q(w) is the recording tableau with the rows ``landing`` of
+    ``_landing_rows``: w is inserted one step at a time into fresh rows,
+    and the answer is no at the first step whose box lands in another row.
+    """
+    rows: list[list[int]] = []
+    for x, r in zip(w, landing):
+        if _insert(rows, x) != r:
+            return False
+    return True
+
+
 def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     """
     Compute the rim by search: the elements e of Z admitting no
@@ -320,7 +390,11 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     below and the subtree is cut; k = 1 is tested at the leaf.  The test is
     sufficient but not necessary (v = (1, 4, 2, 5, 3), k = 1 keeps Q(v)
     without a witness), so each ascent k of a surviving leaf is tested
-    exactly: Q(v s_k) == Q(w_J).  Only the survivors are kept.
+    exactly: Q(v s_k) == Q(w_J).  Q is fixed by the row each step's box
+    lands in, so the test inserts v s_k one step at a time and stops at the
+    first step that lands in another row than in Q(w_J); those rows are
+    read once per search, and no leaf builds a tableau.  Only the survivors
+    are kept.
 
     >>> rim_search((2, 1)).rim
     ((1, 3, 2),)
@@ -330,6 +404,7 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     parts = check_composition(parts)
     q, walk = _fiber(parts, bound)
     n = sum(parts)
+    landing = _landing_rows(q)
     # where the values 0..n+1 stand in v and in e; 0 and n+1 stand nowhere,
     # so they are never between two positions
     in_v, in_e = [-1] * (n + 2), [-1] * (n + 2)
@@ -354,7 +429,7 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
             if in_e[k] < in_e[k + 1]:
                 a, b = in_v[k], in_v[k + 1]
                 v[a], v[b] = k + 1, k
-                same = rsk(v)[1] == q
+                same = _keeps_recording(v, landing)
                 v[a], v[b] = k, k + 1
                 if same:
                     return False

@@ -50,6 +50,13 @@ CELL_14_DIGESTS = {
     "text": "f3385ae9375fd8be3b5d62d6a5178b9c418a8cdfa7f8b75ed3eb0faea064eb56",
 }
 
+# sha256 of the stdout of `klrim rim --method search --format json` past the
+# default bound, on compositions with no closed form: rims of 21 and 107
+SEARCH_DIGESTS = {
+    ("2,1,3,1,2,3,2", "14"): "fa2aad597e6387c5b028fc6b4a5de80cdefe87dc552e6f78fd6fae796b1127a5",
+    ("3,1,2,4,1,3,2", "16"): "2cd6ce1d5b4b6505bfba3d1707b9cc4a183cedc7f8886238ea5c869f09a060c4",
+}
+
 # sha256 of the stdout of `klrim rim --method <method> --format <format>`,
 # concatenated over every composition of n = 1..7 in compositions_of order,
 # then search and, where a closed form exists, closed, then json and text
@@ -260,6 +267,14 @@ def test_rim_output_is_pinned_byte_for_byte():
                     assert code == 0
                     digest.update(out.encode())
     assert digest.hexdigest() == RIM_DIGEST
+
+
+@pytest.mark.parametrize("composition, max_n", sorted(SEARCH_DIGESTS))
+def test_searched_rims_past_the_default_bound_are_pinned(composition, max_n):
+    argv = ["rim", "--composition", composition, "--method", "search", "--max-n", max_n]
+    code, out = run(argv + ["--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_DIGESTS[composition, max_n]
 
 
 def test_rim_json_is_the_json_dumps_text():

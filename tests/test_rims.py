@@ -1,7 +1,7 @@
 import hashlib
 import tracemalloc
 from functools import cached_property
-from itertools import chain
+from itertools import chain, permutations
 from math import comb, factorial, prod
 
 import pytest
@@ -48,6 +48,8 @@ from klrim.rims import (
     _fiber,
     _g_diagram,
     _h_diagram,
+    _keeps_recording,
+    _landing_rows,
     _p_diagram,
     _staircase_diagrams,
     _three_part_count,
@@ -108,6 +110,40 @@ def test_rim_search_past_the_default_bound_is_pinned():
     assert digest.hexdigest() == (
         "43e2724369253671cf80f355f2a40eed7d35c90c9dba579ac8e97651698888d2"
     )
+
+
+def test_the_leaf_test_agrees_with_the_recording_tableau_of_rsk():
+    # rsk is the oracle of the row-by-row test that stops at the first box
+    # landing in another row
+    for n in range(1, 8):
+        recordings = [(v, rsk(v)[1]) for v in permutations(range(1, n + 1))]
+        for parts in compositions_of(n):
+            q = rsk(longest_parabolic_element(parts))[1]
+            landing = _landing_rows(q)
+            for v, q_v in recordings:
+                assert _keeps_recording(v, landing) == (q_v == q), (parts, v)
+
+
+def test_rim_search_calls_rsk_once_per_search(monkeypatch):
+    # the one call is _fiber's set-up, Q(w_J); the leaves build no tableau
+    calls, searches = [], []
+    real_search = rims.rim_search
+
+    def counting_rsk(w):
+        calls.append(tuple(w))
+        return rsk(w)
+
+    def counting_search(parts, bound=None):
+        searches.append(parts)
+        return real_search(parts, bound)
+
+    monkeypatch.setattr(rims, "rsk", counting_rsk)
+    assert rim_search((3, 1, 2, 4, 1, 3, 2), bound=16).rim_size == 107
+    assert calls == [longest_parabolic_element((3, 1, 2, 4, 1, 3, 2))]
+    calls.clear()
+    monkeypatch.setattr(rims, "rim_search", counting_search)
+    assert all(report.passed for report in verify_theorems(THEOREMS, 8))
+    assert len(calls) == len(searches) == 2 ** 8 - 1
 
 
 def swap_values(v, k):
@@ -191,12 +227,20 @@ def walk_trace(walk, prune):
 def test_the_corner_walk_makes_the_calls_of_the_row_scanning_walk():
     # the whole place trace, on full walks and on walks cut at about one
     # call in five, so pruned subtrees leave the corner lists as they found
-    # them
+    # them; and cut at every call of step 3, or of step 2, so a false return
+    # still cuts below the steps read off the last three values, where the
+    # walks with n <= 3 start
     def never(s, x, i):
         return False
 
     def sometimes(s, x, i):
         return (31 * s + 7 * x + i) % 5 == 0
+
+    def at_3(s, x, i):
+        return s == 3
+
+    def at_2(s, x, i):
+        return s == 2
 
     n12 = [(3, 1, 2, 4, 2), (1, 3, 2, 1, 3, 2), (2, 2, 2, 2, 2, 2), (4, 1, 3, 1, 3)]
     cut = 0
@@ -206,6 +250,9 @@ def test_the_corner_walk_makes_the_calls_of_the_row_scanning_walk():
         assert walk_trace(_fiber(parts, 12)[1], never) == full, parts
         assert walk_trace(_fiber(parts, 12)[1], sometimes) == pruned, parts
         cut += len(pruned) < len(full)
+        for prune in (at_3, at_2):
+            expected = walk_trace(row_scanning_walk(parts), prune)
+            assert walk_trace(_fiber(parts, 12)[1], prune) == expected, (parts, prune)
     assert cut > 200
 
 
