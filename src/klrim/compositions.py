@@ -9,6 +9,7 @@ convention used for permutation row-forms and diagram coordinates.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import index
 from typing import Iterable, Iterator
 
 Composition = tuple[int, ...]
@@ -16,7 +17,8 @@ Composition = tuple[int, ...]
 
 def check_composition(parts: Iterable[int]) -> Composition:
     """
-    Validate and normalise a composition to a tuple of positive ints.
+    Validate and normalise a composition to a tuple of positive ints;
+    parts that are not integers are refused, not truncated.
 
     >>> check_composition([2, 1])
     (2, 1)
@@ -25,7 +27,10 @@ def check_composition(parts: Iterable[int]) -> Composition:
         ...
     ValueError: composition must be nonempty
     """
-    parts = tuple(int(p) for p in parts)
+    try:
+        parts = tuple(map(index, parts))
+    except TypeError as exc:
+        raise ValueError(f"composition parts must be integers: {exc}") from None
     if not parts:
         raise ValueError("composition must be nonempty")
     if any(p < 1 for p in parts):

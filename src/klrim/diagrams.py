@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import Composition, _conjugate, check_composition, check_partition
@@ -34,7 +35,10 @@ class Diagram:
     nodes: tuple[Node, ...]
 
     def __post_init__(self) -> None:
-        nodes = tuple(sorted((int(r), int(c)) for r, c in self.nodes))
+        try:
+            nodes = tuple(sorted((index(r), index(c)) for r, c in self.nodes))
+        except TypeError as exc:
+            raise ValueError(f"diagram nodes must be pairs of integers: {exc}") from None
         if not nodes:
             raise ValueError("diagram must be nonempty")
         if len(set(nodes)) != len(nodes):
@@ -128,7 +132,10 @@ class DTableau:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(int(e) for e in self.entries)
+        try:
+            entries = tuple(map(index, self.entries))
+        except TypeError as exc:
+            raise ValueError(f"tableau entries must be integers: {exc}") from None
         n = self.diagram.size
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"entries must be a bijection onto 1..{n}: {entries}")

@@ -20,6 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import index
 from typing import Callable, Iterable, Sequence
 
 from .diagrams import Diagram, Node, act, is_standard, row_fill, w_of_diagram
@@ -40,7 +41,10 @@ class KPath:
     host: Diagram | None = None
 
     def __post_init__(self) -> None:
-        paths = tuple(tuple((int(r), int(c)) for r, c in p) for p in self.paths)
+        try:
+            paths = tuple(tuple((index(r), index(c)) for r, c in p) for p in self.paths)
+        except TypeError as exc:
+            raise ValueError(f"k-path nodes must be pairs of integers: {exc}") from None
         if not paths:
             raise ValueError("a k-path needs at least one constituent path")
         seen: set[Node] = set()
@@ -340,7 +344,10 @@ def insert_singleton(kpath: KPath, node: Node) -> KPath:
     longest initial run of constituents preceding it.  The result is
     ordered again.
     """
-    node = (int(node[0]), int(node[1]))
+    try:
+        node = (index(node[0]), index(node[1]))
+    except TypeError as exc:
+        raise ValueError(f"a node must be a pair of integers: {exc}") from None
     if not is_ordered(kpath):
         raise ValueError("insert_singleton expects an ordered k-path")
     if node in kpath.support:
@@ -375,7 +382,10 @@ def extend_by_singletons(kpath: KPath, nodes: Iterable[Node]) -> KPath:
     No constituent may bracket any of the new nodes within its column, so
     every insertion genuinely adds a constituent.
     """
-    nodes = [(int(r), int(c)) for r, c in nodes]
+    try:
+        nodes = [(index(r), index(c)) for r, c in nodes]
+    except TypeError as exc:
+        raise ValueError(f"nodes must be pairs of integers: {exc}") from None
     if len(set(nodes)) != len(nodes):
         raise ValueError("nodes to insert must be distinct")
     for node in nodes:

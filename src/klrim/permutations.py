@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
+from operator import index
 from typing import Iterable, Sequence
 
 from .compositions import (
@@ -39,7 +40,10 @@ def check_permutation(row_form: Iterable[int]) -> Perm:
         ...
     ValueError: not a row-form of a permutation of {1..3}: (1, 1, 2)
     """
-    w = tuple(int(x) for x in row_form)
+    try:
+        w = tuple(map(index, row_form))
+    except TypeError as exc:
+        raise ValueError(f"row-form entries must be integers: {exc}") from None
     if not w or sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"not a row-form of a permutation of {{1..{len(w)}}}: {w}")
     return w

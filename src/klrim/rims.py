@@ -19,7 +19,9 @@ flags are read off them.  Each closed family is built once, as written; the
 rim of a reversed member is the half-turn of the reverse's rim.
 
 Both searches are one walk, ``_fiber``, of the Robinson-Schensted fiber
-{v : Q(v) = Q(w_J)} = w_J Z, with two callbacks; a step of the walk visits
+{v : Q(v) = Q(w_J)} = w_J Z, with two callbacks.  Q(w_J) is read off the
+blocks of the composition, with no insertion: its row r holds the
+(r+1)-th position of every block longer than r.  A step of the walk visits
 only the corners of its shape, listed once per shape, and the last three
 steps are read off the values left, with no bumping.  The cell's callback
 records every element as one str, one character per entry of l(e), e,
@@ -31,8 +33,9 @@ decimal text, ``cell_elements`` as one character.  ``rim_search`` cuts
 every subtree whose elements a dual Knuth move shows to have an extension
 inside Z, and tests the leaves that survive exactly, by an insertion that
 stops at the first box landing in another row than in Q(w_J); it never
-holds Z.  The cell size needs no search: it is f^{λ'}, the number of
-standard tableaux of the shape of Q(w_J), by the hook-length formula.
+holds Z and runs no RSK.  The cell size needs no search: it is f^{λ'},
+the number of standard tableaux of the shape of Q(w_J), by the
+hook-length formula.
 """
 from __future__ import annotations
 
@@ -64,11 +67,9 @@ from .diagrams import (
 )
 from .permutations import (
     Perm,
-    Tableau,
     Word,
     _insert,
     longest_parabolic_element,
-    rsk,
 )
 
 DEFAULT_SEARCH_BOUND = 10
@@ -132,13 +133,11 @@ def check_search_bound(n: int, bound: int | None) -> int:
     return n
 
 
-def _fiber(
-    parts: Composition, bound: int | None
-) -> tuple[Tableau, Callable[[Place], None]]:
+def _fiber(parts: Composition, bound: int | None) -> Callable[[Place], None]:
     """
-    Q(w_J) and a depth-first walk of the Robinson-Schensted fiber
-    {v : Q(v) = Q(w_J)}, the elements w_J e for e in Z: ``walk(place)``
-    calls ``place(s, x, i, filled)`` after each ejection.  The bound is
+    A depth-first walk of the Robinson-Schensted fiber {v : Q(v) = Q(w_J)},
+    the elements w_J e for e in Z: ``walk(place)`` calls
+    ``place(s, x, i, filled)`` after each ejection.  The bound is
     checked before anything of size n is built.  The walk recurses once per
     step above the last three; one that runs into Python's recursion limit
     is refused with SearchBoundExceeded, before its caller has written
@@ -173,18 +172,22 @@ def _fiber(
     [b], [c] ejects a, b, c; and [a, b] over [c] ejects b, a, c from its
     first corner, then b, c, a if c > b and a, b, c otherwise from its
     second.  A walk with n <= 2 starts inside these rules.
+
+    Q(w_J) needs no insertion: row r holds the (r+1)-th position of every
+    block longer than r.  w_J lists each block in decreasing order, above
+    every value before the block, so the block's (j+1)-th value bumps its
+    j earlier values down one row each and lands in row j.
     """
     n = check_search_bound(sum(parts), bound)
-    w_j = longest_parabolic_element(parts)
-    q = rsk(w_j)[1]
-    rows = [[x - 1 for x in row] for row in q]
+    starts = list(accumulate(parts, initial=0))
+    rows = [[a + r for a, p in zip(starts, parts) if p > r] for r in range(max(parts))]
     below = rows[1:] + [[]]
     weights = accumulate((len(row) + 1 for row in rows), mul, initial=1)
     table = [
         (row, tuple(reversed(rows[:r])), tuple(rows[:r]), weight)
         for r, (row, weight) in enumerate(zip(rows, weights))
     ]
-    slot = [x - 1 for x in w_j]
+    slot = [x - 1 for x in longest_parabolic_element(parts)]
 
     # rows 0-2 hold every box of a shape of at most three
     top, middle, bottom = (rows + [[], []])[:3]
@@ -257,7 +260,7 @@ def _fiber(
             # later cyclic collection
             del remove
 
-    return q, walk
+    return walk
 
 
 def _check_record_range(n: int) -> int:
@@ -287,7 +290,7 @@ def _zone(parts: Composition, bound: int | None) -> list[str]:
     runs (i, i-1, ..., i-c_i+1) over i.  Records compare as (l(e), e).
     """
     n = _check_record_range(check_search_bound(sum(parts), bound))
-    _, walk = _fiber(parts, bound)
+    walk = _fiber(parts, bound)
     left = [(1 << i) - 1 for i in range(n)]
     off = [i * (i + 1) // 2 for i in range(n)]
     entry = [chr(s) for s in range(n + 1)]
@@ -353,19 +356,10 @@ def _cell(
     return "".join(head), zone, _Runs(render)
 
 
-def _landing_rows(q: Tableau) -> list[int]:
-    """The row of the recording tableau q holding each step 1, 2, ..., n."""
-    landing = [0] * sum(map(len, q))
-    for r, row in enumerate(q):
-        for step in row:
-            landing[step - 1] = r
-    return landing
-
-
 def _keeps_recording(w: Sequence[int], landing: Sequence[int]) -> bool:
     """
-    Whether Q(w) is the recording tableau with the rows ``landing`` of
-    ``_landing_rows``: w is inserted one step at a time into fresh rows,
+    Whether Q(w) is the recording tableau whose step j stands in row
+    ``landing[j-1]``: w is inserted one step at a time into fresh rows,
     and the answer is no at the first step whose box lands in another row.
     """
     rows: list[list[int]] = []
@@ -393,8 +387,8 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     exactly: Q(v s_k) == Q(w_J).  Q is fixed by the row each step's box
     lands in, so the test inserts v s_k one step at a time and stops at the
     first step that lands in another row than in Q(w_J); those rows are
-    read once per search, and no leaf builds a tableau.  Only the survivors
-    are kept.
+    read off the blocks of the composition, and no leaf builds a tableau.
+    Only the survivors are kept.
 
     >>> rim_search((2, 1)).rim
     ((1, 3, 2),)
@@ -402,9 +396,10 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     ((2, 1, 3),)
     """
     parts = check_composition(parts)
-    q, walk = _fiber(parts, bound)
+    walk = _fiber(parts, bound)
     n = sum(parts)
-    landing = _landing_rows(q)
+    # the rows of Q(w_J) by step: the j-th position of a block lands in row j
+    landing = [r for p in parts for r in range(p)]
     # where the values 0..n+1 stand in v and in e; 0 and n+1 stand nowhere,
     # so they are never between two positions
     in_v, in_e = [-1] * (n + 2), [-1] * (n + 2)

@@ -25,6 +25,14 @@ def test_check_composition_rejects_bad_input():
         check_partition((1, 2))
 
 
+def test_check_composition_refuses_non_integers_rather_than_truncating():
+    for parts in [(2.7, 1), ("3", " 2"), (2, 1.0), "32"]:
+        with pytest.raises(ValueError, match="^composition parts must be integers: "):
+            check_composition(parts)
+    # anything with __index__ is an integer: bools and int subclasses pass
+    assert check_composition([True, 2]) == (1, 2)
+
+
 def test_partial_sums():
     assert partial_sums((2, 1)) == (0, 2, 3)
     assert partial_sums((5,)) == (0, 5)

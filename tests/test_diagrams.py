@@ -63,6 +63,19 @@ def test_diagram_validation():
     assert Diagram(((2, 1), (1, 1), (1, 2))).nodes == ((1, 1), (1, 2), (2, 1))
 
 
+def test_diagram_refuses_non_integer_nodes_rather_than_truncating():
+    for nodes in [((1.9, 1.2),), ((1, 1), (1, 2.0)), (("1", 1),), (1,)]:
+        with pytest.raises(ValueError, match="^diagram nodes must be pairs of integers: "):
+            Diagram(nodes)
+
+
+def test_dtableau_refuses_non_integer_entries_rather_than_truncating():
+    for entries in [(1.0, 2, 3), (1, 2, 3.5), ("1", 2, 3)]:
+        with pytest.raises(ValueError, match="^tableau entries must be integers: "):
+            DTableau(V21, entries)
+    assert DTableau(V21, (3, 1, 2)).entries == (3, 1, 2)
+
+
 def test_row_and_column_compositions():
     assert V21.row_composition == (2, 1)
     assert V21.column_composition == (2, 1)

@@ -79,6 +79,27 @@ def test_kpath_validation():
     assert kp.type == (4, 4, 3, 3, 3, 2, 2)
 
 
+def test_kpath_refuses_non_integer_nodes_rather_than_truncating():
+    for paths in [(((1.5, 1), (2, 1.9)),), (((1, 1),), ((2, "2"),)), ((1,),)]:
+        with pytest.raises(ValueError, match="^k-path nodes must be pairs of integers: "):
+            KPath(paths)
+
+
+def test_insert_singleton_refuses_a_non_integer_node():
+    kpath = KPath((((1, 1),),))
+    for node in [(2.0, 1), (2, 1.5), ("2", 1)]:
+        with pytest.raises(ValueError, match="^a node must be a pair of integers: "):
+            insert_singleton(kpath, node)
+    assert insert_singleton(kpath, (1, 2)).paths == (((1, 1),), ((1, 2),))
+
+
+def test_extend_by_singletons_refuses_non_integer_nodes():
+    kpath = KPath((((1, 1),),))
+    for nodes in [[(1, 2.0)], [(1, 2), (1.5, 3)], [("1", 2)]]:
+        with pytest.raises(ValueError, match="^nodes must be pairs of integers: "):
+            extend_by_singletons(kpath, nodes)
+
+
 def test_precedes_examples():
     assert precedes({(2, 3)}, {(1, 1)})
     assert precedes({(1, 1)}, {(3, 2)})

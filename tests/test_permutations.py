@@ -42,6 +42,12 @@ def test_check_permutation():
         check_permutation([])
 
 
+def test_check_permutation_refuses_non_integers_rather_than_truncating():
+    for row_form in [(2.9, 1.2), (2.0, 1.0), ("2", "1")]:
+        with pytest.raises(ValueError, match="^row-form entries must be integers: "):
+            check_permutation(row_form)
+
+
 def test_length_examples():
     assert length(identity(4)) == 0
     assert length((2, 1, 3)) == 1

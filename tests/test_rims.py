@@ -5,7 +5,7 @@ from itertools import chain, permutations
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from klrim import rims
 from klrim.compositions import compositions_of, is_partition, reverse_composition
@@ -49,7 +49,6 @@ from klrim.rims import (
     _g_diagram,
     _h_diagram,
     _keeps_recording,
-    _landing_rows,
     _p_diagram,
     _staircase_diagrams,
     _three_part_count,
@@ -119,31 +118,30 @@ def test_the_leaf_test_agrees_with_the_recording_tableau_of_rsk():
         recordings = [(v, rsk(v)[1]) for v in permutations(range(1, n + 1))]
         for parts in compositions_of(n):
             q = rsk(longest_parabolic_element(parts))[1]
-            landing = _landing_rows(q)
+            landing = [r for p in parts for r in range(p)]
             for v, q_v in recordings:
                 assert _keeps_recording(v, landing) == (q_v == q), (parts, v)
 
 
-def test_rim_search_calls_rsk_once_per_search(monkeypatch):
-    # the one call is _fiber's set-up, Q(w_J); the leaves build no tableau
-    calls, searches = [], []
-    real_search = rims.rim_search
+def test_a_search_runs_no_rsk(monkeypatch):
+    # Q(w_J) is read off the blocks and the leaves build no tableau, so a
+    # search never reaches rsk
+    def no_rsk(w):
+        raise AssertionError(f"rsk called on {w}")
 
-    def counting_rsk(w):
-        calls.append(tuple(w))
-        return rsk(w)
+    searches = []
+    real_search = rims.rim_search
 
     def counting_search(parts, bound=None):
         searches.append(parts)
         return real_search(parts, bound)
 
-    monkeypatch.setattr(rims, "rsk", counting_rsk)
+    assert "rsk" not in vars(rims)
+    monkeypatch.setattr("klrim.permutations.rsk", no_rsk)
     assert rim_search((3, 1, 2, 4, 1, 3, 2), bound=16).rim_size == 107
-    assert calls == [longest_parabolic_element((3, 1, 2, 4, 1, 3, 2))]
-    calls.clear()
     monkeypatch.setattr(rims, "rim_search", counting_search)
     assert all(report.passed for report in verify_theorems(THEOREMS, 8))
-    assert len(calls) == len(searches) == 2 ** 8 - 1
+    assert len(searches) == 2 ** 8 - 1
 
 
 def swap_values(v, k):
@@ -247,13 +245,40 @@ def test_the_corner_walk_makes_the_calls_of_the_row_scanning_walk():
     for parts in chain(*map(compositions_of, range(1, 9)), n12):
         full = walk_trace(row_scanning_walk(parts), never)
         pruned = walk_trace(row_scanning_walk(parts), sometimes)
-        assert walk_trace(_fiber(parts, 12)[1], never) == full, parts
-        assert walk_trace(_fiber(parts, 12)[1], sometimes) == pruned, parts
+        assert walk_trace(_fiber(parts, 12), never) == full, parts
+        assert walk_trace(_fiber(parts, 12), sometimes) == pruned, parts
         cut += len(pruned) < len(full)
         for prune in (at_3, at_2):
             expected = walk_trace(row_scanning_walk(parts), prune)
-            assert walk_trace(_fiber(parts, 12)[1], prune) == expected, (parts, prune)
+            assert walk_trace(_fiber(parts, 12), prune) == expected, (parts, prune)
     assert cut > 200
+
+
+def composition_from_cuts(n, cuts):
+    """The composition of n whose blocks end after the positions in cuts."""
+    ends = sorted(cuts) + [n]
+    return tuple(b - a for a, b in zip([0] + ends, ends))
+
+
+compositions_to_60 = st.integers(1, 60).flatmap(
+    lambda n: st.sets(st.integers(1, n))
+    .map(lambda cuts: composition_from_cuts(n, cuts - {n}))
+)
+
+
+@settings(deadline=None)
+@given(compositions_to_60)
+def test_the_block_rule_walks_as_the_tableau_of_rsk(parts):
+    # _fiber reads Q(w_J) off the blocks, the row-scanning walk from rsk;
+    # the first three steps of both walks, up to n = 60, where the full
+    # traces above stop at n = 12
+    n = sum(parts)
+
+    def first_three(s, x, i):
+        return s == n - 2
+
+    expected = walk_trace(row_scanning_walk(parts), first_three)
+    assert walk_trace(_fiber(parts, n), first_three) == expected
 
 
 def test_zone_records_length_cell_element_and_word():
@@ -613,6 +638,12 @@ def test_cell_elements_refuses_when_called_not_when_read():
         cell_elements((1,) * 11)
     with pytest.raises(ValueError, match="^composition parts must be positive"):
         cell_elements((0,))
+
+
+def test_searches_refuse_non_integer_parts_rather_than_truncating():
+    for search in (rim_search, cell_elements):
+        with pytest.raises(ValueError, match="^composition parts must be integers: "):
+            search([2.7, 1])
 
 
 def test_rim_result_derives_rim_and_flags_from_its_diagrams():
