@@ -1,7 +1,7 @@
 """
 Command-line surface and the JSON wire formats.  Each subcommand validates
-its input once, calls the library and writes the result, ``rim`` and
-``cell`` one element at a time.  The search bound is ``--max-n`` alone.
+its input once, calls the library and writes the result, ``rim`` one
+element at a time and ``cell`` a few hundred lines at a time.  The search bound is ``--max-n`` alone.
 
 Formats (all coordinates and entries 1-based):
   permutation   [2, 1, 3]                       row-form
@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
+from itertools import islice
 from typing import Any, Sequence
 
 from .compositions import Composition, check_composition
@@ -35,8 +37,9 @@ from .rims import (
     DEFAULT_SEARCH_BOUND,
     RimResult,
     THEOREMS,
+    _MARK,
+    _Spelling,
     _cell,
-    _fields,
     cell_size,
     check_search_bound,
     rim_closed_form,
@@ -192,28 +195,21 @@ def _cmd_cell(args: argparse.Namespace, out, stdin) -> int:
     if args.count_only:
         print(cell_size(parts), file=out)
         return EXIT_OK
-    # each line is translated from its record by texts made once per call, in
-    # the text json.dumps gives for lists of ints: the row-form from the
-    # texts of its values, the word from w_J's word and the run text of each
-    # code character.  A text opens with its separator, which the first
-    # value and the word's first run drop.
-    sep = ", " if args.format == "json" else " "
-    head, records, runs = _cell(parts, args.max_n, lambda run: "".join(f"{sep}{k}" for k in run))
-    head = head[len(sep):]
-    cut = 0 if head else len(sep)
-    n = sum(parts)
-    _, v, code = _fields(n)
-    values = [f", {k}" for k in range(n + 1)]
+    # each record holds the values and the word of e of its line, spelled
+    # as json.dumps spells lists of ints, after a key of n + 1 characters and
+    # the first value's separator; the lines are framed, and w_J's word put
+    # in place of the mark, a chunk of records at a time
+    value_sep, word_sep = ", ", ", " if args.format == "json" else " "
+    head, records = _cell(parts, args.max_n, _Spelling(str, value_sep, word_sep))
     if args.format == "json":
-        for record in records:
-            row = record[v].translate(values)[2:]
-            word = record[code].translate(runs)[cut:]
-            out.write(f'{{"row_form": [{row}], "reduced_word": [{head}{word}]}}\n')
+        start, between, end = '{"row_form": [', f'], "reduced_word": [{head}', "]}\n"
     else:
-        for record in records:
-            row = record[v].translate(values)[2:]
-            word = head + record[code].translate(runs)[cut:]
-            out.write(f"[{row}]  word: {word or '(identity)'}\n")
+        start, between, end = "[", f"]  word: {head or '(identity)'}", "\n"
+    skip = sum(parts) + 1 + len(value_sep)
+    joint, records = end + start, iter(records)
+    while chunk := list(islice(records, 256)):
+        lines = joint.join(record[skip:] for record in chunk)
+        out.write(start + lines.replace(_MARK, between) + end)
     return EXIT_OK
 
 
@@ -339,4 +335,9 @@ def main(argv: Sequence[str] | None = None, stdin=None, stdout=None) -> int:
 
 
 def entry_point() -> None:
+    # a reader that stops early, as `klrim cell ... | head -1` does, closes
+    # the pipe: the default SIGPIPE action ends the process quietly, where
+    # Python's own would raise BrokenPipeError and exit 1, "mismatch"
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -19,23 +19,30 @@ flags are read off them.  Each closed family is built once, as written; the
 rim of a reversed member is the half-turn of the reverse's rim.
 
 Both searches are one walk, ``_fiber``, of the Robinson-Schensted fiber
-{v : Q(v) = Q(w_J)} = w_J Z, with two callbacks.  Q(w_J) is read off the
-blocks of the composition, with no insertion: its row r holds the
+{v : Q(v) = Q(w_J)} = w_J Z, each with its own callbacks.  Q(w_J) is read
+off the blocks of the composition, with no insertion: its row r holds the
 (r+1)-th position of every block longer than r.  A step of the walk visits
 only the corners of its shape, listed once per shape, and the last three
-steps are read off the values left, with no bumping.  The cell's callback
-records every element as one str, one character per entry of l(e), e,
-w_J e and the code vector of e, so the records sort as (l(e), e) by plain
-string comparison.  ``_cell`` sorts them and translates their code
-characters to the lex-least reduced words through a run table that makes
-each run's text on first use; ``klrim cell`` renders a generator as its
-decimal text, ``cell_elements`` as one character.  ``rim_search`` cuts
-every subtree whose elements a dual Knuth move shows to have an extension
-inside Z, and tests the leaves that survive exactly, by an insertion that
-stops at the first box landing in another row than in Q(w_J); it never
-holds Z and runs no RSK.  The cell size needs no search: it is f^{λ'},
-the number of standard tableaux of the shape of Q(w_J), by the
-hook-length formula.
+steps are read off the values left, with no bumping.
+
+The cell's callback records every element as one str: the key, l(e) and
+e with one character per entry, so the records sort as (l(e), e) by plain
+string comparison; then the text of the values of w_J e and of the
+lex-least reduced word of e, each step writing the text of its value and
+of its run of generators.  ``klrim cell`` spells the numbers in decimal
+and writes each record after its key, with w_J's word put in;
+``cell_elements`` spells them as one character each.  A cell past a
+record budget is walked once per band of lengths, each walk cutting the
+subtrees whose lengths miss its band, after a first walk that counts the
+elements of each length; so the records held stay within about the
+budget, however large the cell.
+
+``rim_search`` cuts every subtree whose elements a dual Knuth move shows
+to have an extension inside Z, and tests the leaves that survive exactly,
+by an insertion that stops at the first box landing in another row than
+in Q(w_J); it never holds Z and runs no RSK.  The cell size needs no
+search: it is f^{λ'}, the number of standard tableaux of the shape of
+Q(w_J), by the hook-length formula.
 """
 from __future__ import annotations
 
@@ -73,8 +80,11 @@ from .permutations import (
 )
 
 DEFAULT_SEARCH_BOUND = 10
-# the largest n with n(n+1)/2 <= 0x110000, the number of str characters
-_MAX_RECORD_N = (isqrt(8 * 0x110000 + 1) - 1) // 2
+_MAX_RECORD_N = 1492  # see _check_record_range
+# the most records _cell holds at a time, but for a single length that holds
+# more: an n = 18 record of JSON text takes about 270 B, so 450,000 of them
+# about 120 MB
+_RECORD_BUDGET = 450_000
 
 THEOREMS = ("T2.16a", "T3.5a", "T3.7a", "T3.15a", "C3.16a", "P3.2a")
 
@@ -265,66 +275,137 @@ def _fiber(parts: Composition, bound: int | None) -> Callable[[Place], None]:
 
 def _check_record_range(n: int) -> int:
     """
-    n, after refusing with SearchBoundExceeded an n whose ``_zone`` records
-    would need characters past U+10FFFF: the largest is the code character
-    n(n+1)/2 - 1 of c_{n-1} = n-1.
+    n, after refusing with SearchBoundExceeded an n past 1492.  The key of a
+    ``_zone`` record holds l(e) < n(n-1)/2 as one character, which would fit
+    U+10FFFF up to n = 1493; the refusal keeps the limit of 1492 that the
+    earlier code characters set, so ``klrim cell`` refuses the inputs it
+    always refused.  Only cells of a few elements can be written this far:
+    at n = 1492 the shapes λ' = (n-2, 2) and (n-2, 1, 1) already have
+    f^{λ'} > 10^6.
     """
     if n > _MAX_RECORD_N:
         raise SearchBoundExceeded(
             f"n={n} exceeds {_MAX_RECORD_N}, the largest n whose cell elements "
-            f"the one-character-per-entry records can hold"
+            f"klrim writes"
         )
     return n
 
 
-def _zone(parts: Composition, bound: int | None) -> list[str]:
+# stands in a _zone record between the values of w_J e and the word of e
+_MARK = "\x00"
+
+
+@dataclass(frozen=True)
+class _Spelling:
     """
-    Every element e of Z, in walk order, as one str record: chr(l(e)), then
-    e and v = w_J e with one character chr(s) per entry s, then the code
-    vector of e, c_i = #{j < i : e_j > e_i} over positions i counted from 0,
-    with the entry c_i written as the character chr(i(i+1)/2 + c_i), a key
-    that names both i and c_i since c_i <= i.  The walk of ``_fiber`` writes
-    the entries of e largest first, so c_i counts the positions left of i
-    already written when i is; l(e) is its sum, and the lex-least reduced
-    word of e, the one ``reduced_word`` returns, is the concatenation of the
-    runs (i, i-1, ..., i-c_i+1) over i.  Records compare as (l(e), e).
+    How ``_zone`` and ``_cell`` spell numbers: k is ``number(k)``, each value
+    of w_J e opens with ``value_sep`` and each generator of a word with
+    ``word_sep``.  The default spells every number as one
+    character with no separators, the records ``cell_elements`` reads.
+    """
+
+    number: Callable[[int], str] = chr
+    value_sep: str = ""
+    word_sep: str = ""
+
+    def run(self, run: range) -> str:
+        """The text of the generators of ``run``, each after its separator."""
+        return "".join(self.word_sep + self.number(k) for k in run)
+
+
+def _zone(
+    parts: Composition,
+    bound: int | None,
+    spelling: _Spelling = _Spelling(),
+    band: tuple[int, int] | None = None,
+) -> list[str]:
+    """
+    Every element e of Z, in walk order, as one str record: the key, chr(l(e))
+    and then e with one character chr(s) per entry s, so the records compare
+    as (l(e), e); then the text of the values of w_J e, ``_MARK``, and the
+    text of the word of e, each generator after its separator, as
+    ``spelling`` spells them.  The walk of ``_fiber`` writes the entries of
+    e largest first, so the code entry c_i = #{j < i : e_j > e_i} counts the
+    positions left of i already written when i is; l(e) is their sum, and
+    the lex-least reduced word of e, the one ``reduced_word`` returns, is
+    the concatenation of the runs (i, i-1, ..., i-c_i+1) over the positions
+    i counted from 0.  Each step writes the text of its value, and of its
+    run from a ``_Runs`` table that makes each run once per call, into the
+    record's slots, so a record is one join at the leaf.  Every value opens
+    with its separator, the first one too, which the reader drops.
+
+    With ``band = (lo, hi)`` only the elements with lo <= l(e) <= hi are
+    kept, and every subtree whose lengths miss the band is cut.  After step
+    s, the pairs of two written positions add the code entries so far to
+    l(e), and the pairs of a written position j and an open position i add
+    #{j < i}, since the written value is the larger: the two grow by
+    c_i + s - 1 - i when step s writes position i, and their sum least[s]
+    is exact for those pairs.  The pairs of two open positions add at most
+    spread[s], the open pairs in different blocks, since e increases along
+    each block.  The values are written largest first, so the position
+    written is the last open one of its block, and writing it closes s - 1
+    of the open pairs less its offset in the block.
     """
     n = _check_record_range(check_search_bound(sum(parts), bound))
     walk = _fiber(parts, bound)
     left = [(1 << i) - 1 for i in range(n)]
     off = [i * (i + 1) // 2 for i in range(n)]
     entry = [chr(s) for s in range(n + 1)]
-    # record[e + i] = e_i, record[v + x] = v_x, record[code + i] = the code character of i
-    e, v, code = (field.start for field in _fields(n))
-    record = [""] * (1 + 3 * n)
-    length = [0] * (n + 2)  # length[s]: the code entries written by steps n..s
+    values = [spelling.value_sep + spelling.number(s) for s in range(n + 1)]
+    runs = _Runs(spelling.run)
+    # record[e + i] = e_i, record[v + x] = the text of v_x, record[w + i] = the run of i
+    e, v, w = 1, n + 1, 2 * n + 2
+    record = [""] * (3 * n + 2)
+    record[w - 1] = _MARK
     zone = []
 
-    def place(s: int, x: int, i: int, filled: int) -> bool:
-        c = (filled & left[i]).bit_count()
-        record[e + i] = record[v + x] = entry[s]
-        record[code + i] = chr(off[i] + c)
-        length[s] = length[s + 1] + c
-        if s == 1:
-            record[0] = chr(length[1])
-            zone.append("".join(record))
-        return True
+    if band is None:
+        length = [0] * (n + 2)  # length[s]: the code entries written by steps n..s
+
+        def place(s: int, x: int, i: int, filled: int) -> bool:
+            c = (filled & left[i]).bit_count()
+            record[e + i] = entry[s]
+            record[v + x] = values[s]
+            record[w + i] = runs[off[i] + c]
+            length[s] = length[s + 1] + c
+            if s == 1:
+                record[0] = chr(length[1])
+                zone.append("".join(record))
+            return True
+
+    else:
+        lo, hi = band
+        # closed[i]: the open pairs inside its block that writing position i closes
+        closed = [i for p in parts for i in range(p)]
+        least = [0] * (n + 2)
+        spread = [0] * (n + 2)  # the open pairs in different blocks
+        spread[n + 1] = comb(n, 2) - sum(comb(p, 2) for p in parts)
+
+        def place(s: int, x: int, i: int, filled: int) -> bool:
+            c = (filled & left[i]).bit_count()
+            least[s] = low = least[s + 1] + c + s - 1 - i
+            if low > hi:
+                return False
+            spread[s] = more = spread[s + 1] - s + 1 + closed[i]
+            if low + more < lo:
+                return False
+            record[e + i] = entry[s]
+            record[v + x] = values[s]
+            record[w + i] = runs[off[i] + c]
+            if s == 1:
+                record[0] = chr(low)
+                zone.append("".join(record))
+            return True
 
     walk(place)
     return zone
-
-
-def _fields(n: int) -> tuple[slice, slice, slice]:
-    """Where e, w_J e and the code characters stand in a ``_zone`` record."""
-    return slice(1, 1 + n), slice(1 + n, 1 + 2 * n), slice(1 + 2 * n, None)
 
 
 class _Runs(dict):
     """
     The text ``render`` makes of the run (i, i-1, ..., i-c+1), under the key
     i(i+1)/2 + c, made on the key's first lookup, so only the runs of code
-    entries that occur are made.  The code field of a ``_zone`` record
-    translates through it to the text of the record's word.
+    entries that occur are made.
     """
 
     def __init__(self, render: Callable[[range], str]) -> None:
@@ -337,23 +418,79 @@ class _Runs(dict):
         return run
 
 
+def _length_counts(parts: Composition, bound: int | None) -> list[int]:
+    """How many elements e of Z have each length l(e) = 0, 1, ..., n(n-1)/2."""
+    n = sum(parts)
+    walk = _fiber(parts, bound)
+    left = [(1 << i) - 1 for i in range(n)]
+    length = [0] * (n + 2)
+    counts = [0] * (comb(n, 2) + 1)
+
+    def place(s: int, x: int, i: int, filled: int) -> bool:
+        length[s] = length[s + 1] + (filled & left[i]).bit_count()
+        if s == 1:
+            counts[length[1]] += 1
+        return True
+
+    walk(place)
+    return counts
+
+
+def _bands(counts: Sequence[int], budget: int) -> list[tuple[int, int]]:
+    """
+    The lengths cut into consecutive bands (lo, hi) of at most ``budget``
+    elements each, but for a single length that alone holds more.
+    """
+    bands, lo, held = [], 0, 0
+    for length, count in enumerate(counts):
+        if held and held + count > budget:
+            bands.append((lo, length - 1))
+            lo, held = length, 0
+        held += count
+    bands.append((lo, len(counts) - 1))
+    return bands
+
+
 def _cell(
-    parts: Composition, bound: int | None, render: Callable[[range], str]
-) -> tuple[str, list[str], _Runs]:
+    parts: Composition, bound: int | None, spelling: _Spelling = _Spelling()
+) -> tuple[str, Iterable[str]]:
     """
-    The cell as the records of ``_zone`` sorted by (l(e), e), which is the
-    order of the strings, with the text of each reduced word read off code
-    characters as runs: the word of w_J e is ``head`` followed by the code
-    field of its record translated through ``runs``, which makes ``render``
-    of each run on first use, so the table follows the output, not n³.  The
-    head is the text of w_J's word: w_J reverses each block of positions,
-    so its code counts 0, 1, ..., p-1 along a block of p.
+    The cell as the text of w_J's word, which every word of the cell opens
+    with, and the records of ``_zone`` sorted by (l(e), e), the order of
+    the strings.  The head drops the separator of its first generator; w_J
+    reverses each block of positions, so its code counts 0, 1, ..., p-1
+    along a block of p.
+
+    A cell of at most ``_RECORD_BUDGET`` elements is one walk and one sort,
+    and its records come as the sorted list.  A larger one holds about a
+    budget of records at a time: a first walk counts the elements of each
+    length and keeps nothing, the lengths are cut into bands of at most a
+    budget each by ``_bands``, and the records come band by band, each band
+    a walk of its own, sorted as it is read.  The checks, and the one walk
+    or the count, run at the call.
     """
-    zone = _zone(parts, bound)
-    zone.sort()  # by (l(e), e); e never repeats, so nothing further is compared
+    _check_record_range(check_search_bound(sum(parts), bound))
     starts = accumulate(parts, initial=0)
-    head = [render(range(i, a, -1)) for a, p in zip(starts, parts) for i in range(a + 1, a + p)]
-    return "".join(head), zone, _Runs(render)
+    head = "".join(
+        spelling.run(range(i, a, -1)) for a, p in zip(starts, parts) for i in range(a + 1, a + p)
+    )[len(spelling.word_sep):]
+    if cell_size(parts) <= _RECORD_BUDGET:
+        zone = _zone(parts, bound, spelling)
+        zone.sort()  # by (l(e), e); e never repeats, so nothing further is compared
+        return head, zone
+    bands = _bands(_length_counts(parts, bound), _RECORD_BUDGET)
+    return head, _banded(parts, bound, spelling, bands)
+
+
+def _banded(
+    parts: Composition, bound: int | None, spelling: _Spelling, bands: list[tuple[int, int]]
+) -> Iterator[str]:
+    """The records of each band in turn, sorted; one band is held at a time."""
+    for band in bands:
+        zone = _zone(parts, bound, spelling, band)
+        zone.sort()
+        yield from zone
+        del zone  # before the next band's walk
 
 
 def _keeps_recording(w: Sequence[int], landing: Sequence[int]) -> bool:
@@ -461,25 +598,29 @@ def cell_elements(
     Every element of the cell with a reduced word for it: pairs
     (w_J e, word of w_J followed by word of e), for e running over Z.
     Lengths add because e is a minimal coset representative.  Ordered by
-    (length, row-form) of e.  The call checks its input and walks the fiber;
-    the pairs are made as they are read, off the records as ``klrim cell``
-    reads them, with one character per generator in place of its text.
-    Each word is the lex-least one, the one ``reduced_word`` gives, and the
-    characters become ints through one list per call, which all pairs share.
+    (length, row-form) of e.  The pairs are made as they are read, off the
+    records of ``_cell`` as ``klrim cell`` reads them, with one character
+    per value and per generator in place of its text; so a cell past the
+    record budget is read in bands of lengths, a walk each, with at most
+    about a budget of records held.  The call checks its input and makes
+    the one walk, or the count of a banded cell.  Each word is the lex-least
+    one, the one ``reduced_word`` gives, and the characters become ints
+    through one list per call, which all pairs share.
 
     >>> [(w, word) for w, word in cell_elements((2, 1))]
     [((2, 1, 3), (1,)), ((3, 1, 2), (1, 2))]
     """
     parts = check_composition(parts)
-    head, records, runs = _cell(parts, bound, lambda run: "".join(map(chr, run)))
+    head, records = _cell(parts, bound)
     n = sum(parts)
-    _, v, code = _fields(n)
+    key = n + 1
     number = list(range(n + 1)).__getitem__
 
     def ints(text: str) -> tuple[int, ...]:
         return tuple(map(number, map(ord, text)))
 
-    return ((ints(record[v]), ints(head + record[code].translate(runs))) for record in records)
+    # one character per value, then the mark, then the runs of e
+    return ((ints(r[key : key + n]), ints(head + r[key + n + 1 :])) for r in records)
 
 
 def star_extend(diagram: Diagram) -> Diagram:
@@ -505,17 +646,23 @@ def star_extend(diagram: Diagram) -> Diagram:
 
 def theta_star(result: RimResult) -> RimResult:
     """
-    Push a rim through the append-a-part-1 extension: every rim diagram
-    gains one node via ``star_extend`` and the new rim is read off the
-    extended diagrams.  Defined when the last part is 1, where the map is a
-    bijection onto the rim of the extended composition.
+    Push a rim through the append-a-part-1 extension: every rim diagram gains
+    one node on a new last row, directly beneath the single node of its last
+    row, and the new rim is read off the extended diagrams.  Defined when the
+    last part is 1, where the map is a bijection onto the rim of the extended
+    composition; it is the node ``star_extend`` finds, and each extended
+    diagram is checked admissible once.
     """
     if result.composition[-1] != 1:
         raise ValueError("theta_star requires the last part of the composition to be 1")
-    extended = RimResult(result.composition + (1,), map(star_extend, result.diagrams))
-    if len(set(extended.rim)) != result.rim_size:
-        raise RuntimeError("theta_star must carry the rim bijectively")
-    return extended
+    extended = []
+    for diagram in result.diagrams:
+        row, column = diagram.nodes[-1]  # row-major: the last row's node
+        grown = Diagram(diagram.nodes + ((row + 1, column),))
+        if not is_admissible(grown):
+            raise ValueError(f"{diagram.nodes} is not a rim diagram of {result.composition}")
+        extended.append(grown)
+    return RimResult(result.composition + (1,), extended)
 
 
 # ---------------------------------------------------------------------------

@@ -28,18 +28,38 @@ from klrim import (
     star_extend,
     young_diagram,
 )
-from klrim.rims import _fields, _p_diagram, _zone
+from klrim import rims
+from klrim.rims import _p_diagram, _zone
 
 
-def decode(record: str) -> tuple[int, Perm, Perm, tuple[int, ...]]:
+def decode(record: str, n: int) -> tuple[int, Perm, Perm, tuple[int, ...]]:
     """
-    A record of ``rims._zone`` as (l(e), e, w_J e, keys): key i is
-    i(i+1)/2 + c_i, the code entry of position i as ``rims._Runs`` looks
-    it up.
+    A record of ``rims._zone`` in its default spelling, one character per
+    number, as (l(e), e, w_J e, the reduced word of e).
     """
     entries = tuple(map(ord, record))
-    e, v, code = _fields((len(record) - 1) // 3)
-    return entries[0], entries[e], entries[v], entries[code]
+    return entries[0], entries[1 : n + 1], entries[n + 1 : 2 * n + 1], entries[2 * n + 2 :]
+
+
+def count_walks(monkeypatch) -> list[tuple]:
+    """
+    Patch ``rims._fiber`` so that each walk it makes is listed, by the
+    composition walked, in the list returned.
+    """
+    walks = []
+    fiber = rims._fiber
+
+    def counted(parts, bound):
+        walk = fiber(parts, bound)
+
+        def counting(place):
+            walks.append(parts)
+            walk(place)
+
+        return counting
+
+    monkeypatch.setattr(rims, "_fiber", counted)
+    return walks
 
 
 def compress_nodes(nodes) -> tuple[Node, ...]:
@@ -219,7 +239,7 @@ def full_zone_rim(parts) -> RimResult:
     the result holds their diagrams.  The reference for the pruned search
     in ``rim_search``, which never holds Z.
     """
-    zone = [decode(record)[1] for record in _zone(parts, sum(parts))]
+    zone = [decode(record, sum(parts))[1] for record in _zone(parts, sum(parts))]
     zset = set(zone)
     rim = []
     for e in zone:

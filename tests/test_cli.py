@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -25,7 +26,7 @@ from klrim.cli import (
 from klrim.compositions import compositions_of
 from klrim.diagrams import Diagram, young_diagram
 
-from support import compress_nodes, random_kpath
+from support import compress_nodes, count_walks, random_kpath
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -155,6 +156,35 @@ def test_python_m_klrim_runs_the_command_line():
     assert (bad.returncode, bad.stdout) == (2, b"")
     lines = bad.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cell", "--composition", "2,1,3,1,2,3,2", "--max-n", "14", "--format", "json"],
+        ["verify", "all", "--max-n", "8"],
+    ],
+    ids=["cell", "verify"],
+)
+def test_a_reader_that_closes_the_pipe_early_ends_klrim_quietly(argv):
+    # as `klrim ... | head -1` does: no traceback, and no exit 1, "mismatch"
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "klrim", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert child.stdout.readline()
+        child.stdout.close()
+        assert child.wait(timeout=60) in (0, -getattr(signal, "SIGPIPE", 0))
+    finally:
+        child.kill()
+        child.wait()
+    assert child.stderr.read() == b""
+    child.stderr.close()
 
 
 def calculus_inputs():
@@ -359,6 +389,24 @@ def test_an_n14_cell_is_pinned_byte_for_byte(fmt):
     code, out = run(["cell", "--composition", "2,1,3,1,2,3,2", "--max-n", "14", "--format", fmt])
     assert code == 0 and out.count("\n") == 14014
     assert hashlib.sha256(out.encode()).hexdigest() == CELL_14_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "composition, size, digests",
+    [("1,3,2,1,3,2", 2673, CELL_12_DIGESTS), ("2,1,3,1,2,3,2", 14014, CELL_14_DIGESTS)],
+    ids=["n12", "n14"],
+)
+def test_the_n12_and_n14_cells_are_pinned_when_written_in_bands(
+    composition, size, digests, fmt, monkeypatch
+):
+    # a budget of a quarter of the cell: a count, then at least four bands
+    monkeypatch.setattr(rims, "_RECORD_BUDGET", size // 4)
+    walks = count_walks(monkeypatch)
+    argv = ["cell", "--composition", composition, "--max-n", "14", "--format", fmt]
+    code, out = run(argv)
+    assert code == 0 and out.count("\n") == size and len(walks) >= 5
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt]
 
 
 def test_cell_json_lines_are_the_json_dumps_text():

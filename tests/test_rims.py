@@ -42,6 +42,7 @@ from klrim.rims import (
     theta_star,
     verify_theorem,
     verify_theorems,
+    _bands,
     _cell,
     _check_record_range,
     _d_tsu_diagram,
@@ -49,6 +50,7 @@ from klrim.rims import (
     _g_diagram,
     _h_diagram,
     _keeps_recording,
+    _length_counts,
     _p_diagram,
     _staircase_diagrams,
     _three_part_count,
@@ -59,6 +61,7 @@ from klrim.rims import (
 from support import (
     bfs_zone,
     coset_reps,
+    count_walks,
     decode,
     f_fixture,
     full_zone_rim,
@@ -170,7 +173,7 @@ def test_the_witness_rule_misses_some_recording_preserving_swaps():
 
 def zone_of(parts):
     """Z as a sorted list of row-forms."""
-    return sorted(decode(record)[1] for record in _zone(parts, bound=10))
+    return sorted(decode(record, sum(parts))[1] for record in _zone(parts, bound=10))
 
 
 def test_zone_prefix_closed_and_rim_maximal():
@@ -282,20 +285,17 @@ def test_the_block_rule_walks_as_the_tableau_of_rsk(parts):
 
 
 def test_zone_records_length_cell_element_and_word():
-    # a record holds l(e), e, w_J e and the code of e, each code entry c_i as
-    # the key i(i+1)/2 + c_i, and the words read off the codes of w_J and e
-    # through the run table are the lex-least ones
+    # a record holds l(e), e, w_J e and the word of e, and the head the word
+    # of w_J, each the lex-least one; the records come sorted by (l(e), e)
     for n in range(1, 9):
         for parts in compositions_of(n):
             w_j = longest_parabolic_element(parts)
-            head, records, runs = _cell(parts, 10, lambda run: "".join(map(chr, run)))
+            head, records = _cell(parts, 10)
             assert tuple(map(ord, head)) == restart_reduced_word(w_j)
-            for ell, e, w, keys in map(decode, records):
-                code = tuple(k - i * (i + 1) // 2 for i, k in enumerate(keys))
-                assert code == tuple(sum(e[j] > e[i] for j in range(i)) for i in range(n))
-                assert ell == sum(code) == length(e)
+            assert records == sorted(_zone(parts, 10))
+            for ell, e, w, word in (decode(record, n) for record in records):
+                assert ell == length(e)
                 assert w == compose(w_j, e)
-                word = tuple(map(ord, "".join(map(runs.__getitem__, keys))))
                 assert word == restart_reduced_word(e)
 
 
@@ -395,13 +395,24 @@ def test_theta_star_matches_direct_search():
         theta_star(rim_search((1, 2)))
 
 
-def test_theta_star_refuses_an_extension_that_merges_rim_diagrams(monkeypatch):
-    result = rim_search((1, 2, 1))
-    assert result.rim_size == 2
-    merged = star_extend(result.diagrams[0])
-    monkeypatch.setattr(rims, "star_extend", lambda diagram: merged)
-    with pytest.raises(RuntimeError):
-        theta_star(result)
+def test_theta_star_matches_the_star_extend_route():
+    # theta_star puts the new node beneath the last row's node; star_extend
+    # scans the columns for the least admissible one
+    checked = 0
+    for n in range(1, 10):
+        for parts in compositions_of(n):
+            if parts[-1] == 1:
+                result = rim_search(parts)
+                expected = RimResult(parts + (1,), map(star_extend, result.diagrams))
+                assert theta_star(result) == expected, parts
+                checked += result.rim_size
+    assert checked == 801
+
+
+def test_theta_star_refuses_a_diagram_whose_extension_is_not_admissible():
+    not_a_rim = RimResult((1, 1), [Diagram(((1, 2), (2, 1)))])
+    with pytest.raises(ValueError, match="is not a rim diagram of"):
+        theta_star(not_a_rim)
 
 
 def test_closed_form_matches_search_everywhere():
@@ -608,12 +619,78 @@ def test_a_one_element_cell_at_n_900_peaks_no_higher_than_with_tuple_records():
     assert peak < 10_000_000
 
 
+# sha256 of the repr of list(cell_elements((2, 1, 3, 1, 2, 3, 2), 14)),
+# from the tuple records' decode
+CELL_ELEMENTS_14_DIGEST = "5ec1842f6c14a923b9dc6ac28e018b2e73e2388c29138b4749307db74ef66948"
+
+
 def test_cell_elements_at_n_14_are_pinned():
-    # sha256 of the repr of the whole list, from the tuple records' decode
     elements = list(cell_elements((2, 1, 3, 1, 2, 3, 2), 14))
     assert len(elements) == 14014
     digest = hashlib.sha256(repr(elements).encode()).hexdigest()
-    assert digest == "5ec1842f6c14a923b9dc6ac28e018b2e73e2388c29138b4749307db74ef66948"
+    assert digest == CELL_ELEMENTS_14_DIGEST
+
+
+def test_cell_elements_at_n_14_are_pinned_when_read_in_bands(monkeypatch):
+    # a budget of a quarter of the cell: a count, then at least four bands
+    monkeypatch.setattr(rims, "_RECORD_BUDGET", 14014 // 4)
+    walks = count_walks(monkeypatch)
+    elements = list(cell_elements((2, 1, 3, 1, 2, 3, 2), 14))
+    assert len(walks) >= 5
+    digest = hashlib.sha256(repr(elements).encode()).hexdigest()
+    assert digest == CELL_ELEMENTS_14_DIGEST
+
+
+def test_a_band_walk_keeps_exactly_the_elements_of_its_lengths():
+    # the cuts are bounds on l(e) below each step; a bound that is off
+    # by one drops elements or keeps some outside the band
+    for n in range(1, 8):
+        for parts in compositions_of(n):
+            full = sorted(_zone(parts, 10))
+            top = max(ord(record[0]) for record in full)
+            for lo in range(top + 2):
+                for hi in (lo, lo + 2):
+                    band = sorted(_zone(parts, 10, band=(lo, hi)))
+                    assert band == [r for r in full if lo <= ord(r[0]) <= hi], (parts, lo, hi)
+
+
+def test_bands_hold_at_most_the_budget_but_for_a_single_length():
+    counts = [1, 5, 2, 2, 7, 0, 1]
+    assert _bands(counts, 5) == [(0, 0), (1, 1), (2, 3), (4, 4), (5, 6)]
+    assert _bands(counts, 100) == [(0, 6)]
+    assert _bands(counts, 0) == [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 6)]
+
+
+def test_a_cell_within_the_budget_is_one_walk(monkeypatch):
+    walks = count_walks(monkeypatch)
+    parts = (2, 1, 3, 1, 2, 3, 2)
+    assert len(list(cell_elements(parts, 14))) == 14014
+    assert walks == [parts]
+    monkeypatch.setattr(rims, "_RECORD_BUDGET", 14013)
+    walks.clear()
+    assert len(list(cell_elements(parts, 14))) == 14014
+    assert len(walks) == 1 + len(_bands(_length_counts(parts, 14), 14013)) == 3
+
+
+def test_the_peak_of_a_cell_follows_the_budget_not_the_cell(monkeypatch):
+    def peak(parts, budget):
+        monkeypatch.setattr(rims, "_RECORD_BUDGET", budget)
+        tracemalloc.start()
+        try:
+            for _ in _cell(parts, sum(parts))[1]:
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n12, n14 = (1, 3, 2, 1, 3, 2), (2, 1, 3, 1, 2, 3, 2)
+    assert (cell_size(n12), cell_size(n14)) == (2673, 14014)
+    held = peak(n14, 2000)
+    # five times the cell, about the same peak
+    assert held < 1.5 * peak(n12, 2000)
+    # four times the budget, more than twice the peak
+    assert peak(n14, 8000) > 2 * held
+    assert peak(n14, 14014) > 4 * held
 
 
 def test_cell_records_refuse_an_n_past_the_character_range():
