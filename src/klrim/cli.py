@@ -38,7 +38,6 @@ from .rims import (
     RimResult,
     THEOREMS,
     _MARK,
-    _Spelling,
     _cell,
     cell_size,
     check_search_bound,
@@ -195,21 +194,18 @@ def _cmd_cell(args: argparse.Namespace, out, stdin) -> int:
     if args.count_only:
         print(cell_size(parts), file=out)
         return EXIT_OK
-    # each record holds the values and the word of e of its line, spelled
-    # as json.dumps spells lists of ints, after a key of n + 1 characters and
-    # the first value's separator; the lines are framed, and w_J's word put
-    # in place of the mark, a chunk of records at a time
-    value_sep, word_sep = ", ", ", " if args.format == "json" else " "
-    head, records = _cell(parts, args.max_n, _Spelling(str, value_sep, word_sep))
+    # each text holds the values and the word of e of its line, spelled as
+    # json.dumps spells lists of ints; the lines are framed, and w_J's word
+    # put in place of the mark, a chunk of texts at a time
+    word_sep = ", " if args.format == "json" else " "
+    head, texts = _cell(parts, args.max_n, str, ", ", word_sep)
     if args.format == "json":
         start, between, end = '{"row_form": [', f'], "reduced_word": [{head}', "]}\n"
     else:
         start, between, end = "[", f"]  word: {head or '(identity)'}", "\n"
-    skip = sum(parts) + 1 + len(value_sep)
-    joint, records = end + start, iter(records)
-    while chunk := list(islice(records, 256)):
-        lines = joint.join(record[skip:] for record in chunk)
-        out.write(start + lines.replace(_MARK, between) + end)
+    joint = end + start
+    while chunk := list(islice(texts, 256)):
+        out.write(start + joint.join(chunk).replace(_MARK, between) + end)
     return EXIT_OK
 
 

@@ -29,13 +29,14 @@ The cell's callback records every element as one str: the key, l(e) and
 e with one character per entry, so the records sort as (l(e), e) by plain
 string comparison; then the text of the values of w_J e and of the
 lex-least reduced word of e, each step writing the text of its value and
-of its run of generators.  ``klrim cell`` spells the numbers in decimal
-and writes each record after its key, with w_J's word put in;
-``cell_elements`` spells them as one character each.  A cell past a
-record budget is walked once per band of lengths, each walk cutting the
-subtrees whose lengths miss its band, after a first walk that counts the
-elements of each length; so the records held stay within about the
-budget, however large the cell.
+of its run of generators.  ``_cell`` hands each record out cut after its
+key, so its readers see only the values, a mark where w_J's word goes,
+and the word of e: ``klrim cell`` spells the numbers in decimal and puts
+in the word, ``cell_elements`` spells them as one character each and
+splits at the mark.  A cell past a record budget is walked once per
+band of lengths, each walk cutting the subtrees whose lengths miss its
+band, after a first walk that counts the elements of each length; so
+the records held stay within about the budget, however large the cell.
 
 ``rim_search`` cuts every subtree whose elements a dual Knuth move shows
 to have an extension inside Z, and tests the leaves that survive exactly,
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
 from math import comb, factorial, isqrt, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .compositions import (
@@ -83,7 +84,10 @@ DEFAULT_SEARCH_BOUND = 10
 _MAX_RECORD_N = 1492  # see _check_record_range
 # the most records _cell holds at a time, but for a single length that holds
 # more: an n = 18 record of JSON text takes about 270 B, so 450,000 of them
-# about 120 MB
+# about 120 MB.  A cell just past the budget pays a counting walk and two
+# band walks where one walk would do: `klrim cell` on the 500,500 elements
+# of (1,2,4,2,3,4) takes 2.3-2.6 s, against 1.0 s for the 416,988 of
+# (3,1,2,4,1,3,2) in one walk (2 cores, JSON to a pipe)
 _RECORD_BUDGET = 450_000
 
 THEOREMS = ("T2.16a", "T3.5a", "T3.7a", "T3.15a", "C3.16a", "P3.2a")
@@ -332,19 +336,14 @@ def _zone(
     i counted from 0.  Each step writes the text of its value, and of its
     run from a ``_Runs`` table that makes each run once per call, into the
     record's slots, so a record is one join at the leaf.  Every value opens
-    with its separator, the first one too, which the reader drops.
+    with its separator, the first one too, which ``_cell`` cuts off with
+    the key.
 
     With ``band = (lo, hi)`` only the elements with lo <= l(e) <= hi are
-    kept, and every subtree whose lengths miss the band is cut.  After step
-    s, the pairs of two written positions add the code entries so far to
-    l(e), and the pairs of a written position j and an open position i add
-    #{j < i}, since the written value is the larger: the two grow by
-    c_i + s - 1 - i when step s writes position i, and their sum least[s]
-    is exact for those pairs.  The pairs of two open positions add at most
-    spread[s], the open pairs in different blocks, since e increases along
-    each block.  The values are written largest first, so the position
-    written is the last open one of its block, and writing it closes s - 1
-    of the open pairs less its offset in the block.
+    kept: the walk runs ``place`` behind ``_band_cut``, which cuts every
+    subtree whose lengths miss the band.  Without a band the walk runs
+    ``place`` alone: the cut's bookkeeping on every step made ``klrim
+    cell`` 18% slower on a dozen cells of n = 12, in 12 alternated runs.
     """
     n = _check_record_range(check_search_bound(sum(parts), bound))
     walk = _fiber(parts, bound)
@@ -359,46 +358,55 @@ def _zone(
     record[w - 1] = _MARK
     zone = []
 
-    if band is None:
-        length = [0] * (n + 2)  # length[s]: the code entries written by steps n..s
+    length = [0] * (n + 2)  # length[s]: the code entries written by steps n..s
 
-        def place(s: int, x: int, i: int, filled: int) -> bool:
-            c = (filled & left[i]).bit_count()
-            record[e + i] = entry[s]
-            record[v + x] = values[s]
-            record[w + i] = runs[off[i] + c]
-            length[s] = length[s + 1] + c
-            if s == 1:
-                record[0] = chr(length[1])
-                zone.append("".join(record))
-            return True
+    def place(s: int, x: int, i: int, filled: int) -> bool:
+        c = (filled & left[i]).bit_count()
+        record[e + i] = entry[s]
+        record[v + x] = values[s]
+        record[w + i] = runs[off[i] + c]
+        length[s] = length[s + 1] + c
+        if s == 1:
+            record[0] = chr(length[1])
+            zone.append("".join(record))
+        return True
 
-    else:
-        lo, hi = band
-        # closed[i]: the open pairs inside its block that writing position i closes
-        closed = [i for p in parts for i in range(p)]
-        least = [0] * (n + 2)
-        spread = [0] * (n + 2)  # the open pairs in different blocks
-        spread[n + 1] = comb(n, 2) - sum(comb(p, 2) for p in parts)
-
-        def place(s: int, x: int, i: int, filled: int) -> bool:
-            c = (filled & left[i]).bit_count()
-            least[s] = low = least[s + 1] + c + s - 1 - i
-            if low > hi:
-                return False
-            spread[s] = more = spread[s + 1] - s + 1 + closed[i]
-            if low + more < lo:
-                return False
-            record[e + i] = entry[s]
-            record[v + x] = values[s]
-            record[w + i] = runs[off[i] + c]
-            if s == 1:
-                record[0] = chr(low)
-                zone.append("".join(record))
-            return True
-
-    walk(place)
+    walk(place if band is None else _band_cut(parts, band, place))
     return zone
+
+
+def _band_cut(parts: Composition, band: tuple[int, int], place: Place) -> Place:
+    """
+    ``place`` behind a cut of every subtree of the walk of ``_fiber`` whose
+    elements e all miss lo <= l(e) <= hi, for ``band = (lo, hi)``.  After
+    step s, the pairs of two written positions add the code entries so far
+    to l(e), and the pairs of a written position j and an open position i
+    add #{j < i}, since the written value is the larger: the two grow by
+    c_i + s - 1 - i when step s writes position i, and their sum least[s]
+    is exact for those pairs.  The pairs of two open positions add at most
+    spread[s], the open pairs in different blocks, since e increases along
+    each block.  The values are written largest first, so the position
+    written is the last open one of its block, and writing it closes s - 1
+    of the open pairs less its offset in the block.
+    """
+    n = sum(parts)
+    lo, hi = band
+    left = [(1 << i) - 1 for i in range(n)]
+    # closed[i]: the open pairs inside its block that writing position i closes
+    closed = [i for p in parts for i in range(p)]
+    least = [0] * (n + 2)
+    spread = [0] * (n + 2)  # the open pairs in different blocks
+    spread[n + 1] = comb(n, 2) - sum(comb(p, 2) for p in parts)
+
+    def cut(s: int, x: int, i: int, filled: int) -> bool:
+        c = (filled & left[i]).bit_count()
+        least[s] = low = least[s + 1] + c + s - 1 - i
+        if low > hi:
+            return False
+        spread[s] = more = spread[s + 1] - s + 1 + closed[i]
+        return low + more >= lo and place(s, x, i, filled)
+
+    return cut
 
 
 class _Runs(dict):
@@ -452,44 +460,58 @@ def _bands(counts: Sequence[int], budget: int) -> list[tuple[int, int]]:
 
 
 def _cell(
-    parts: Composition, bound: int | None, spelling: _Spelling = _Spelling()
-) -> tuple[str, Iterable[str]]:
+    parts: Composition,
+    bound: int | None,
+    number: Callable[[int], str] = chr,
+    value_sep: str = "",
+    word_sep: str = "",
+) -> tuple[str, Iterator[str]]:
     """
     The cell as the text of w_J's word, which every word of the cell opens
-    with, and the records of ``_zone`` sorted by (l(e), e), the order of
-    the strings.  The head drops the separator of its first generator; w_J
-    reverses each block of positions, so its code counts 0, 1, ..., p-1
-    along a block of p.
+    with, and one text per element e of Z, ordered by (l(e), e): the values
+    of w_J e, ``_MARK`` where w_J's word goes, and the word of e.  Each
+    number k is spelled ``number(k)``, after ``value_sep`` in a list of
+    values and after ``word_sep`` in a word, but for the first of each
+    list: the first value and w_J's first generator drop their separator.
+    By default every number is one character, with no separators.  The
+    texts are the records of ``_zone`` cut after the key and the first
+    value's separator, as they are read.  w_J reverses each block of
+    positions, so its code counts 0, 1, ..., p-1 along a block of p.
 
-    A cell of at most ``_RECORD_BUDGET`` elements is one walk and one sort,
-    and its records come as the sorted list.  A larger one holds about a
-    budget of records at a time: a first walk counts the elements of each
-    length and keeps nothing, the lengths are cut into bands of at most a
-    budget each by ``_bands``, and the records come band by band, each band
-    a walk of its own, sorted as it is read.  The checks, and the one walk
-    or the count, run at the call.
+    A cell of at most ``_RECORD_BUDGET`` elements is one walk and one sort.
+    A larger one holds about a budget of records at a time: a first walk
+    counts the elements of each length and keeps nothing, the lengths are
+    cut into bands of at most a budget each by ``_bands``, and the records
+    come band by band, each band a walk of its own, sorted as it is read.
+    The checks, and the one walk or the count, run at the call.
     """
-    _check_record_range(check_search_bound(sum(parts), bound))
+    n = _check_record_range(check_search_bound(sum(parts), bound))
+    spelling = _Spelling(number, value_sep, word_sep)
     starts = accumulate(parts, initial=0)
     head = "".join(
         spelling.run(range(i, a, -1)) for a, p in zip(starts, parts) for i in range(a + 1, a + p)
-    )[len(spelling.word_sep):]
+    )[len(word_sep):]
+    cut = itemgetter(slice(n + 1 + len(value_sep), None))
     if cell_size(parts) <= _RECORD_BUDGET:
         zone = _zone(parts, bound, spelling)
         zone.sort()  # by (l(e), e); e never repeats, so nothing further is compared
-        return head, zone
+        return head, map(cut, zone)
     bands = _bands(_length_counts(parts, bound), _RECORD_BUDGET)
-    return head, _banded(parts, bound, spelling, bands)
+    return head, _banded(parts, bound, spelling, bands, cut)
 
 
 def _banded(
-    parts: Composition, bound: int | None, spelling: _Spelling, bands: list[tuple[int, int]]
+    parts: Composition,
+    bound: int | None,
+    spelling: _Spelling,
+    bands: list[tuple[int, int]],
+    cut: Callable[[str], str],
 ) -> Iterator[str]:
-    """The records of each band in turn, sorted; one band is held at a time."""
+    """The cut records of each band in turn, sorted; one band is held at a time."""
     for band in bands:
         zone = _zone(parts, bound, spelling, band)
         zone.sort()
-        yield from zone
+        yield from map(cut, zone)
         del zone  # before the next band's walk
 
 
@@ -612,15 +634,16 @@ def cell_elements(
     """
     parts = check_composition(parts)
     head, records = _cell(parts, bound)
-    n = sum(parts)
-    key = n + 1
-    number = list(range(n + 1)).__getitem__
+    number = list(range(sum(parts) + 1)).__getitem__
 
     def ints(text: str) -> tuple[int, ...]:
         return tuple(map(number, map(ord, text)))
 
-    # one character per value, then the mark, then the runs of e
-    return ((ints(r[key : key + n]), ints(head + r[key + n + 1 :])) for r in records)
+    def pair(text: str) -> tuple[Perm, Word]:
+        values, word = text.split(_MARK)
+        return ints(values), ints(head + word)
+
+    return map(pair, records)
 
 
 def star_extend(diagram: Diagram) -> Diagram:

@@ -29,7 +29,7 @@ from klrim import (
     young_diagram,
 )
 from klrim import rims
-from klrim.rims import _p_diagram, _zone
+from klrim.rims import _MARK, _p_diagram, _zone
 
 
 def decode(record: str, n: int) -> tuple[int, Perm, Perm, tuple[int, ...]]:
@@ -37,8 +37,8 @@ def decode(record: str, n: int) -> tuple[int, Perm, Perm, tuple[int, ...]]:
     A record of ``rims._zone`` in its default spelling, one character per
     number, as (l(e), e, w_J e, the reduced word of e).
     """
-    entries = tuple(map(ord, record))
-    return entries[0], entries[1 : n + 1], entries[n + 1 : 2 * n + 1], entries[2 * n + 2 :]
+    key, values, word = record[: n + 1], *record[n + 1 :].split(_MARK)
+    return ord(key[0]), tuple(map(ord, key[1:])), tuple(map(ord, values)), tuple(map(ord, word))
 
 
 def count_walks(monkeypatch) -> list[tuple]:

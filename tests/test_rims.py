@@ -286,13 +286,15 @@ def test_the_block_rule_walks_as_the_tableau_of_rsk(parts):
 
 def test_zone_records_length_cell_element_and_word():
     # a record holds l(e), e, w_J e and the word of e, and the head the word
-    # of w_J, each the lex-least one; the records come sorted by (l(e), e)
+    # of w_J, each the lex-least one; the cell's texts are the records
+    # sorted by (l(e), e), cut after their key
     for n in range(1, 9):
         for parts in compositions_of(n):
             w_j = longest_parabolic_element(parts)
-            head, records = _cell(parts, 10)
+            head, texts = _cell(parts, 10)
             assert tuple(map(ord, head)) == restart_reduced_word(w_j)
-            assert records == sorted(_zone(parts, 10))
+            records = sorted(_zone(parts, 10))
+            assert list(texts) == [record[n + 1 :] for record in records]
             for ell, e, w, word in (decode(record, n) for record in records):
                 assert ell == length(e)
                 assert w == compose(w_j, e)
