@@ -189,9 +189,9 @@ def _cmd_rim(args: argparse.Namespace, out, stdin) -> int:
 
 def _cmd_cell(args: argparse.Namespace, out, stdin) -> int:
     parts = parse_composition(args.composition)
-    # the count walks nothing, so the bound is checked here for every output
-    check_search_bound(sum(parts), args.max_n)
     if args.count_only:
+        # the count walks nothing, so _cell's check of the bound is made here
+        check_search_bound(sum(parts), args.max_n)
         print(cell_size(parts), file=out)
         return EXIT_OK
     # each text holds the values and the word of e of its line, spelled as

@@ -21,9 +21,9 @@ rim of a reversed member is the half-turn of the reverse's rim.
 Both searches are one walk, ``_fiber``, of the Robinson-Schensted fiber
 {v : Q(v) = Q(w_J)} = w_J Z, each with its own callbacks.  Q(w_J) is read
 off the blocks of the composition, with no insertion: its row r holds the
-(r+1)-th position of every block longer than r.  A step of the walk visits
-only the corners of its shape, listed once per shape, and the last three
-steps are read off the values left, with no bumping.
+(r+1)-th position of every block longer than r.  A step of the walk scans
+the rows for the corners of its shape and keeps nothing per shape, and the
+last three steps are read off the values left, with no bumping.
 
 The cell's callback records every element as one str: the key, l(e) and
 e with one character per entry, so the records sort as (l(e), e) by plain
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
 from math import comb, factorial, isqrt, prod
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .compositions import (
@@ -147,12 +147,12 @@ def check_search_bound(n: int, bound: int | None) -> int:
     return n
 
 
-def _fiber(parts: Composition, bound: int | None) -> Callable[[Place], None]:
+def _fiber(parts: Composition) -> Callable[[Place], None]:
     """
     A depth-first walk of the Robinson-Schensted fiber {v : Q(v) = Q(w_J)},
     the elements w_J e for e in Z: ``walk(place)`` calls
-    ``place(s, x, i, filled)`` after each ejection.  The bound is
-    checked before anything of size n is built.  The walk recurses once per
+    ``place(s, x, i, filled)`` after each ejection.  The callers check the
+    bound on n before they ask for the walk.  The walk recurses once per
     step above the last three; one that runs into Python's recursion limit
     is refused with SearchBoundExceeded, before its caller has written
     anything.
@@ -170,14 +170,13 @@ def _fiber(parts: Composition, bound: int | None) -> Callable[[Place], None]:
     true and s > 1, so ``place`` sees every element at s = 1.  Q(w_J) has
     descent set J, so every e is a minimal coset representative.
 
-    Each row of Q(w_J) has a bump table: the row, the rows above it
-    bottom-up and top-down, and its weight in a mixed radix over the row
-    lengths, so the remaining shape is an int that a pop from the row moves
-    by the weight.  The tables hold the very lists of the rows, popped,
-    bumped and appended in place, so a step reads no row by index.  The
-    corners of a shape, the rows longer than the row below, are listed as
-    their tables on the shape's first visit, once per call; a step loops
-    over those alone.
+    Each row of Q(w_J) has a bump table: the row, the row below it, and the
+    rows above it bottom-up and top-down.  The tables hold the very lists
+    of the rows, popped, bumped and appended in place, so a step reads no
+    row by index.  A step scans the tables in row order and ejects from
+    each row longer than the row below, a corner of the remaining shape;
+    an ejection is undone before the scan moves on, so the scan sees the
+    shape it started from.
 
     The last three steps are closed: a shape of two boxes has one corner
     and one of three at most two, so once three boxes remain, in rows 0-2,
@@ -192,14 +191,12 @@ def _fiber(parts: Composition, bound: int | None) -> Callable[[Place], None]:
     every value before the block, so the block's (j+1)-th value bumps its
     j earlier values down one row each and lands in row j.
     """
-    n = check_search_bound(sum(parts), bound)
+    n = sum(parts)
     starts = list(accumulate(parts, initial=0))
     rows = [[a + r for a, p in zip(starts, parts) if p > r] for r in range(max(parts))]
-    below = rows[1:] + [[]]
-    weights = accumulate((len(row) + 1 for row in rows), mul, initial=1)
     table = [
-        (row, tuple(reversed(rows[:r])), tuple(rows[:r]), weight)
-        for r, (row, weight) in enumerate(zip(rows, weights))
+        (row, lower, tuple(reversed(rows[:r])), tuple(rows[:r]))
+        for r, (row, lower) in enumerate(zip(rows, rows[1:] + [[]]))
     ]
     slot = [x - 1 for x in longest_parabolic_element(parts)]
 
@@ -207,29 +204,23 @@ def _fiber(parts: Composition, bound: int | None) -> Callable[[Place], None]:
     top, middle, bottom = (rows + [[], []])[:3]
 
     def walk(place: Place) -> None:
-        corners_of: dict[int, list] = {}  # shape -> the bump tables of its corners
-
-        def remove(s: int, filled: int, shape: int) -> None:
-            corners = corners_of.get(shape)
-            if corners is None:
-                corners = corners_of[shape] = [
-                    bumps for bumps, lower in zip(table, below) if len(bumps[0]) > len(lower)
-                ]
+        def remove(s: int, filled: int) -> None:
             deeper = remove if s > 4 else tail
-            for row, rising, falling, weight in corners:
-                x = row.pop()
-                for up in rising:
-                    j = bisect_left(up, x) - 1
-                    up[j], x = x, up[j]
-                i = slot[x]
-                if place(s, x, i, filled):
-                    deeper(s - 1, filled | 1 << i, shape + weight)
-                for up in falling:
-                    j = bisect_left(up, x)
-                    up[j], x = x, up[j]
-                row.append(x)
+            for row, lower, rising, falling in table:
+                if len(row) > len(lower):
+                    x = row.pop()
+                    for up in rising:
+                        j = bisect_left(up, x) - 1
+                        up[j], x = x, up[j]
+                    i = slot[x]
+                    if place(s, x, i, filled):
+                        deeper(s - 1, filled | 1 << i)
+                    for up in falling:
+                        j = bisect_left(up, x)
+                        up[j], x = x, up[j]
+                    row.append(x)
 
-        def tail(s: int, filled: int, _shape: int = 0) -> None:
+        def tail(s: int, filled: int) -> None:
             # the steps s <= 3 left, read off the values in rows 0-2
             if s < 3:  # only a walk with n <= 2 starts here
                 if s == 1:
@@ -262,7 +253,7 @@ def _fiber(parts: Composition, bound: int | None) -> Callable[[Place], None]:
                 place(1, y, slot[y], filled | 1 << i)
 
         try:
-            (remove if n > 3 else tail)(n, 0, 0)
+            (remove if n > 3 else tail)(n, 0)
         except RecursionError:
             raise SearchBoundExceeded(
                 f"n={n} exceeds the depth that the recursive fiber walk can reach "
@@ -319,7 +310,6 @@ class _Spelling:
 
 def _zone(
     parts: Composition,
-    bound: int | None,
     spelling: _Spelling = _Spelling(),
     band: tuple[int, int] | None = None,
 ) -> list[str]:
@@ -344,9 +334,10 @@ def _zone(
     subtree whose lengths miss the band.  Without a band the walk runs
     ``place`` alone: the cut's bookkeeping on every step made ``klrim
     cell`` 18% slower on a dozen cells of n = 12, in 12 alternated runs.
+    n is checked by ``_cell``, the entry point, before any walk.
     """
-    n = _check_record_range(check_search_bound(sum(parts), bound))
-    walk = _fiber(parts, bound)
+    n = sum(parts)
+    walk = _fiber(parts)
     left = [(1 << i) - 1 for i in range(n)]
     off = [i * (i + 1) // 2 for i in range(n)]
     entry = [chr(s) for s in range(n + 1)]
@@ -426,10 +417,10 @@ class _Runs(dict):
         return run
 
 
-def _length_counts(parts: Composition, bound: int | None) -> list[int]:
+def _length_counts(parts: Composition) -> list[int]:
     """How many elements e of Z have each length l(e) = 0, 1, ..., n(n-1)/2."""
     n = sum(parts)
-    walk = _fiber(parts, bound)
+    walk = _fiber(parts)
     left = [(1 << i) - 1 for i in range(n)]
     length = [0] * (n + 2)
     counts = [0] * (comb(n, 2) + 1)
@@ -493,23 +484,22 @@ def _cell(
     )[len(word_sep):]
     cut = itemgetter(slice(n + 1 + len(value_sep), None))
     if cell_size(parts) <= _RECORD_BUDGET:
-        zone = _zone(parts, bound, spelling)
+        zone = _zone(parts, spelling)
         zone.sort()  # by (l(e), e); e never repeats, so nothing further is compared
         return head, map(cut, zone)
-    bands = _bands(_length_counts(parts, bound), _RECORD_BUDGET)
-    return head, _banded(parts, bound, spelling, bands, cut)
+    bands = _bands(_length_counts(parts), _RECORD_BUDGET)
+    return head, _banded(parts, spelling, bands, cut)
 
 
 def _banded(
     parts: Composition,
-    bound: int | None,
     spelling: _Spelling,
     bands: list[tuple[int, int]],
     cut: Callable[[str], str],
 ) -> Iterator[str]:
     """The cut records of each band in turn, sorted; one band is held at a time."""
     for band in bands:
-        zone = _zone(parts, bound, spelling, band)
+        zone = _zone(parts, spelling, band)
         zone.sort()
         yield from map(cut, zone)
         del zone  # before the next band's walk
@@ -555,8 +545,8 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     ((2, 1, 3),)
     """
     parts = check_composition(parts)
-    walk = _fiber(parts, bound)
-    n = sum(parts)
+    n = check_search_bound(sum(parts), bound)
+    walk = _fiber(parts)
     # the rows of Q(w_J) by step: the j-th position of a block lands in row j
     landing = [r for p in parts for r in range(p)]
     # where the values 0..n+1 stand in v and in e; 0 and n+1 stand nowhere,

@@ -49,8 +49,8 @@ def count_walks(monkeypatch) -> list[tuple]:
     walks = []
     fiber = rims._fiber
 
-    def counted(parts, bound):
-        walk = fiber(parts, bound)
+    def counted(parts):
+        walk = fiber(parts)
 
         def counting(place):
             walks.append(parts)
@@ -195,12 +195,13 @@ def inverse_insertion_zone(parts) -> list[Perm]:
 
 def row_scanning_walk(parts):
     """
-    The fiber walk of ``rims._fiber`` without corner lists: at every step
-    it tests each row of the remaining shape for a corner, a row longer
-    than the row below it, and reverse-bumps from each corner in row order.
-    ``walk(place)`` makes the calls ``place(s, x, i, filled)`` that
-    ``_fiber``'s walk makes, in the same order; the reference for its
-    corner lists.
+    The fiber walk of ``rims._fiber`` from Q(w_J) as ``rsk`` records it,
+    bumping every step down to the last: at every step it tests each row of
+    the remaining shape for a corner, a row longer than the row below it,
+    and reverse-bumps from each corner in row order.  ``walk(place)`` makes
+    the calls ``place(s, x, i, filled)`` that ``_fiber``'s walk makes, in
+    the same order; the reference for ``_fiber``'s tableau read off the
+    blocks and for its last three steps read off the values left.
     """
     w_j = longest_parabolic_element(parts)
     rows = [[x - 1 for x in row] for row in rsk(w_j)[1]]
@@ -239,7 +240,7 @@ def full_zone_rim(parts) -> RimResult:
     the result holds their diagrams.  The reference for the pruned search
     in ``rim_search``, which never holds Z.
     """
-    zone = [decode(record, sum(parts))[1] for record in _zone(parts, sum(parts))]
+    zone = [decode(record, sum(parts))[1] for record in _zone(parts)]
     zset = set(zone)
     rim = []
     for e in zone:
