@@ -19,13 +19,15 @@ flags are read off them.  Each closed family is built once, as written; the
 rim of a reversed member is the half-turn of the reverse's rim.
 
 Both searches are one walk, ``_fiber``, of the Robinson-Schensted fiber
-{v : Q(v) = Q(w_J)} = w_J Z, each with its own callbacks.  Q(w_J) is read
-off the blocks of the composition, with no insertion: its row r holds the
-(r+1)-th position of every block longer than r.  A step of the walk scans
-the rows for the corners of its shape and keeps nothing per shape, and the
-last three steps are read off the values left, with no bumping.
+{v : Q(v) = Q(w_J)} = w_J Z, each handing it a pair of callbacks: one for
+a step above the last three, one for the last three steps of an element.
+Q(w_J) is read off the blocks of the composition, with no insertion: its
+row r holds the (r+1)-th position of every block longer than r.  A step of
+the walk scans the rows for the corners of its shape and keeps nothing per
+shape, and the last three steps are read off the values left, with no
+bumping.
 
-The cell's callback records every element as one str: the key, l(e) and
+The cell's callbacks record every element as one str: the key, l(e) and
 e with one character per entry, so the records sort as (l(e), e) by plain
 string comparison; then the text of the values of w_J e and of the
 lex-least reduced word of e, each step writing the text of its value and
@@ -86,14 +88,16 @@ _MAX_RECORD_N = 1492  # see _check_record_range
 # more: an n = 18 record of JSON text takes about 270 B, so 450,000 of them
 # about 120 MB.  A cell just past the budget pays a counting walk and two
 # band walks where one walk would do: `klrim cell` on the 500,500 elements
-# of (1,2,4,2,3,4) takes 2.3-2.6 s, against 1.0 s for the 416,988 of
+# of (1,2,4,2,3,4) takes 1.8-1.9 s, against 0.87 s for the 416,988 of
 # (3,1,2,4,1,3,2) in one walk (2 cores, JSON to a pipe)
 _RECORD_BUDGET = 450_000
 
 THEOREMS = ("T2.16a", "T3.5a", "T3.7a", "T3.15a", "C3.16a", "P3.2a")
 
-# place(s, x, i, filled) -> whether the walk goes below step s; see _fiber
+# place(s, x, i, filled) -> whether the walk goes below step s >= 4; see _fiber
 Place = Callable[[int, int, int, int], bool]
+# leaf(filled, x, i, y, j, z, k): the steps 3, 2 and 1 of one element; see _fiber
+Leaf = Callable[[int, int, int, int, int, int, int], None]
 
 
 class SearchBoundExceeded(ValueError):
@@ -147,11 +151,13 @@ def check_search_bound(n: int, bound: int | None) -> int:
     return n
 
 
-def _fiber(parts: Composition) -> Callable[[Place], None]:
+def _fiber(parts: Composition) -> Callable[[Place, Leaf], None]:
     """
     A depth-first walk of the Robinson-Schensted fiber {v : Q(v) = Q(w_J)},
-    the elements w_J e for e in Z: ``walk(place)`` calls
-    ``place(s, x, i, filled)`` after each ejection.  The callers check the
+    the elements w_J e for e in Z: ``walk(place, leaf)`` calls
+    ``place(s, x, i, filled)`` after each ejection at a step s >= 4, and
+    hands each element's last three ejections, at the steps 3, 2 and 1, to
+    one call ``leaf(filled, x, i, y, j, z, k)``.  The callers check the
     bound on n before they ask for the walk.  The walk recurses once per
     step above the last three; one that runs into Python's recursion limit
     is refused with SearchBoundExceeded, before its caller has written
@@ -167,8 +173,10 @@ def _fiber(parts: Composition) -> Callable[[Place], None]:
     s in v = w_J e, and i = w_J(x+1) - 1 the position of s in e, w_J being
     an involution; ``filled`` has the bits of the positions of e written
     before step s.  The walk goes below step s only when ``place`` returns
-    true and s > 1, so ``place`` sees every element at s = 1.  Q(w_J) has
-    descent set J, so every e is a minimal coset representative.
+    true.  ``leaf`` gets (x, i) of step 3, (y, j) of step 2 and (z, k) of
+    step 1, with the bits written before step 3; it sees every element
+    below the cuts of ``place`` once, and cuts nothing.  Q(w_J) has descent
+    set J, so every e is a minimal coset representative.
 
     Each row of Q(w_J) has a bump table: the row, the row below it, and the
     rows above it bottom-up and top-down.  The tables hold the very lists
@@ -184,7 +192,12 @@ def _fiber(parts: Composition) -> Callable[[Place], None]:
     bump and no recursion.  A row [a, b, c] ejects c, b, a; a column [a],
     [b], [c] ejects a, b, c; and [a, b] over [c] ejects b, a, c from its
     first corner, then b, c, a if c > b and a, b, c otherwise from its
-    second.  A walk with n <= 2 starts inside these rules.
+    second.  A walk with n <= 2 has one element, the identity, whose step
+    s writes position s - 1: its ``leaf`` gets its top step again for each
+    step missing above it.  A repeat's writes are overwritten by the step
+    it repeats, and it counts no code entry, every position left of its own
+    being open, nor a pair with the step it repeats; the callers' tables by
+    step reach step 3, and step 4 above it, whatever n.
 
     Q(w_J) needs no insertion: row r holds the (r+1)-th position of every
     block longer than r.  w_J lists each block in decreasing order, above
@@ -203,7 +216,11 @@ def _fiber(parts: Composition) -> Callable[[Place], None]:
     # rows 0-2 hold every box of a shape of at most three
     top, middle, bottom = (rows + [[], []])[:3]
 
-    def walk(place: Place) -> None:
+    def walk(place: Place, leaf: Leaf) -> None:
+        if n < 3:  # e is the identity; its top step stands in for each step missing
+            leaf(0, slot[n - 1], n - 1, slot[n - 1], n - 1, slot[0], 0)
+            return
+
         def remove(s: int, filled: int) -> None:
             deeper = remove if s > 4 else tail
             for row, lower, rising, falling in table:
@@ -221,36 +238,21 @@ def _fiber(parts: Composition) -> Callable[[Place], None]:
                     row.append(x)
 
         def tail(s: int, filled: int) -> None:
-            # the steps s <= 3 left, read off the values in rows 0-2
-            if s < 3:  # only a walk with n <= 2 starts here
-                if s == 1:
-                    place(1, top[0], slot[top[0]], filled)
-                elif len(top) == 2:
-                    two(filled, top[1], top[0])
-                else:
-                    two(filled, top[0], middle[0])
-            elif len(top) == 3:  # a row ejects from its end
+            # the steps 3, 2 and 1, read off the values in rows 0-2
+            if len(top) == 3:  # a row ejects from its end
                 a, b, c = top
-                three(filled, c, b, a)
+                leaf(filled, c, slot[c], b, slot[b], a, slot[a])
             elif len(top) == 1:  # a column ejects from its top
-                three(filled, top[0], middle[0], bottom[0])
+                a, b, c = top[0], middle[0], bottom[0]
+                leaf(filled, a, slot[a], b, slot[b], c, slot[c])
             else:  # [a, b] over [c]: the corner of row 0, then of row 1
                 (a, b), (c,) = top, middle
-                three(filled, b, a, c)
+                i, j, k = slot[a], slot[b], slot[c]
+                leaf(filled, b, j, a, i, c, k)
                 if c > b:
-                    three(filled, b, c, a)
+                    leaf(filled, b, j, c, k, a, i)
                 else:
-                    three(filled, a, b, c)
-
-        def three(filled: int, x: int, y: int, z: int) -> None:
-            i = slot[x]
-            if place(3, x, i, filled):
-                two(filled | 1 << i, y, z)
-
-        def two(filled: int, x: int, y: int) -> None:
-            i = slot[x]
-            if place(2, x, i, filled):
-                place(1, y, slot[y], filled | 1 << i)
+                    leaf(filled, a, i, b, j, c, k)
 
         try:
             (remove if n > 3 else tail)(n, 0)
@@ -325,23 +327,24 @@ def _zone(
     the concatenation of the runs (i, i-1, ..., i-c_i+1) over the positions
     i counted from 0.  Each step writes the text of its value, and of its
     run from a ``_Runs`` table that makes each run once per call, into the
-    record's slots, so a record is one join at the leaf.  Every value opens
-    with its separator, the first one too, which ``_cell`` cuts off with
-    the key.
+    record's slots: ``place`` one step, ``leaf`` the last three and the
+    join, the one a record is made by.  Every value opens with its
+    separator, the first one too, which ``_cell`` cuts off with the key.
 
     With ``band = (lo, hi)`` only the elements with lo <= l(e) <= hi are
-    kept: the walk runs ``place`` behind ``_band_cut``, which cuts every
-    subtree whose lengths miss the band.  Without a band the walk runs
-    ``place`` alone: the cut's bookkeeping on every step made ``klrim
+    kept: the walk runs both callbacks behind ``_band_cut``, which cuts
+    every subtree whose lengths miss the band.  Without a band the walk
+    runs them alone: the cut's bookkeeping on every step made ``klrim
     cell`` 18% slower on a dozen cells of n = 12, in 12 alternated runs.
     n is checked by ``_cell``, the entry point, before any walk.
     """
     n = sum(parts)
     walk = _fiber(parts)
+    steps = max(n, 3)  # a leaf writes the steps 3, 2 and 1 even when n < 3
     left = [(1 << i) - 1 for i in range(n)]
     off = [i * (i + 1) // 2 for i in range(n)]
-    entry = [chr(s) for s in range(n + 1)]
-    values = [spelling.value_sep + spelling.number(s) for s in range(n + 1)]
+    entry = [chr(s) for s in range(steps + 1)]
+    values = [spelling.value_sep + spelling.number(s) for s in range(steps + 1)]
     runs = _Runs(spelling.run)
     # record[e + i] = e_i, record[v + x] = the text of v_x, record[w + i] = the run of i
     e, v, w = 1, n + 1, 2 * n + 2
@@ -349,7 +352,7 @@ def _zone(
     record[w - 1] = _MARK
     zone = []
 
-    length = [0] * (n + 2)  # length[s]: the code entries written by steps n..s
+    length = [0] * (steps + 2)  # length[s]: the code entries written by steps n..s
 
     def place(s: int, x: int, i: int, filled: int) -> bool:
         c = (filled & left[i]).bit_count()
@@ -357,35 +360,56 @@ def _zone(
         record[v + x] = values[s]
         record[w + i] = runs[off[i] + c]
         length[s] = length[s + 1] + c
-        if s == 1:
-            record[0] = chr(length[1])
-            zone.append("".join(record))
         return True
 
-    walk(place if band is None else _band_cut(parts, band, place))
+    def leaf(filled: int, x: int, i: int, y: int, j: int, z: int, k: int) -> None:
+        # every position but the open ones is written: c_i counts the written
+        # left of i, so c_k = k once only k is open
+        c = i - (j < i) - (k < i)
+        d = j - (k < j)
+        record[e + i] = entry[3]
+        record[v + x] = values[3]
+        record[w + i] = runs[off[i] + c]
+        record[e + j] = entry[2]
+        record[v + y] = values[2]
+        record[w + j] = runs[off[j] + d]
+        record[e + k] = entry[1]
+        record[v + z] = values[1]
+        record[w + k] = runs[off[k] + k]
+        record[0] = chr(length[4] + c + d + k)
+        zone.append("".join(record))
+
+    if band is not None:
+        place, leaf = _band_cut(parts, band, place, leaf)
+    walk(place, leaf)
     return zone
 
 
-def _band_cut(parts: Composition, band: tuple[int, int], place: Place) -> Place:
+def _band_cut(
+    parts: Composition, band: tuple[int, int], place: Place, leaf: Leaf
+) -> tuple[Place, Leaf]:
     """
-    ``place`` behind a cut of every subtree of the walk of ``_fiber`` whose
-    elements e all miss lo <= l(e) <= hi, for ``band = (lo, hi)``.  After
-    step s, the pairs of two written positions add the code entries so far
-    to l(e), and the pairs of a written position j and an open position i
-    add #{j < i}, since the written value is the larger: the two grow by
-    c_i + s - 1 - i when step s writes position i, and their sum least[s]
-    is exact for those pairs.  The pairs of two open positions add at most
+    ``place`` and ``leaf`` behind a cut of every subtree of the walk of
+    ``_fiber`` whose elements e all miss lo <= l(e) <= hi, for ``band =
+    (lo, hi)``.  After step s, the pairs of two written positions add the
+    code entries so far to l(e), and the pairs of a written position j and
+    an open position i add #{j < i}, since the written value is the
+    larger: the two grow by c_i + s - 1 - i when step s writes position i,
+    and their sum least[s] is exact for those pairs.  The pairs of two open positions add at most
     spread[s], the open pairs in different blocks, since e increases along
     each block.  The values are written largest first, so the position
     written is the last open one of its block, and writing it closes s - 1
-    of the open pairs less its offset in the block.
+    of the open pairs less its offset in the block.  At the leaf the three
+    open positions i, j and k take the values 3, 2 and 1, so their pairs
+    add exactly (i < j) + (i < k) + (j < k), and the leaf is kept exactly
+    when l(e) = least[4] plus these lies in the band.
     """
     n = sum(parts)
     lo, hi = band
     left = [(1 << i) - 1 for i in range(n)]
     # closed[i]: the open pairs inside its block that writing position i closes
     closed = [i for p in parts for i in range(p)]
-    least = [0] * (n + 2)
+    least = [0] * (max(n, 3) + 2)  # a leaf reads least[4] even when n < 3
     spread = [0] * (n + 2)  # the open pairs in different blocks
     spread[n + 1] = comb(n, 2) - sum(comb(p, 2) for p in parts)
 
@@ -397,7 +421,11 @@ def _band_cut(parts: Composition, band: tuple[int, int], place: Place) -> Place:
         spread[s] = more = spread[s + 1] - s + 1 + closed[i]
         return low + more >= lo and place(s, x, i, filled)
 
-    return cut
+    def cut_leaf(filled: int, x: int, i: int, y: int, j: int, z: int, k: int) -> None:
+        if lo <= least[4] + (i < j) + (i < k) + (j < k) <= hi:
+            leaf(filled, x, i, y, j, z, k)
+
+    return cut, cut_leaf
 
 
 class _Runs(dict):
@@ -422,16 +450,18 @@ def _length_counts(parts: Composition) -> list[int]:
     n = sum(parts)
     walk = _fiber(parts)
     left = [(1 << i) - 1 for i in range(n)]
-    length = [0] * (n + 2)
+    length = [0] * (max(n, 3) + 2)  # a leaf reads length[4] even when n < 3
     counts = [0] * (comb(n, 2) + 1)
 
     def place(s: int, x: int, i: int, filled: int) -> bool:
         length[s] = length[s + 1] + (filled & left[i]).bit_count()
-        if s == 1:
-            counts[length[1]] += 1
         return True
 
-    walk(place)
+    def leaf(filled: int, x: int, i: int, y: int, j: int, z: int, k: int) -> None:
+        # the code entries of the last three, as in _zone
+        counts[length[4] + i - (j < i) - (k < i) + j - (k < j) + k] += 1
+
+    walk(place, leaf)
     return counts
 
 
@@ -549,13 +579,16 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     walk = _fiber(parts)
     # the rows of Q(w_J) by step: the j-th position of a block lands in row j
     landing = [r for p in parts for r in range(p)]
-    # where the values 0..n+1 stand in v and in e; 0 and n+1 stand nowhere,
-    # so they are never between two positions
-    in_v, in_e = [-1] * (n + 2), [-1] * (n + 2)
+    # where the values stand in v and in e.  0 and n+1 stand nowhere, or n+1
+    # where n does, so they are never strictly between two positions: the
+    # leaf places 3, 2 and 1 even when n < 3, each value missing where the
+    # next one stands (see _fiber)
+    steps = max(n, 3)
+    in_v, in_e = [-1] * (steps + 2), [-1] * (steps + 2)
     e, v = [0] * n, [0] * n
     # the k tested for a witness once step s has placed s: s+1, and at the
     # leaf s = 1 also k = 1
-    witnessed = [(), (2, 1)] + [(s + 1,) for s in range(2, n + 1)]
+    witnessed = [(), (2, 1)] + [(s + 1,) for s in range(2, steps + 1)]
     rim = []
 
     def place(s: int, x: int, i: int, filled: int) -> bool:
@@ -580,7 +613,11 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
         rim.append(tuple(e))
         return False
 
-    walk(place)
+    def leaf(filled: int, x: int, i: int, y: int, j: int, z: int, k: int) -> None:
+        if place(3, x, i, filled) and place(2, y, j, filled | 1 << i):
+            place(1, z, k, filled | 1 << i | 1 << j)
+
+    walk(place, leaf)
     return RimResult(parts, (_diagram_from_element(y, parts) for y in rim))
 
 

@@ -52,9 +52,9 @@ def count_walks(monkeypatch) -> list[tuple]:
     def counted(parts):
         walk = fiber(parts)
 
-        def counting(place):
+        def counting(place, leaf):
             walks.append(parts)
-            walk(place)
+            walk(place, leaf)
 
         return counting
 
@@ -198,10 +198,11 @@ def row_scanning_walk(parts):
     The fiber walk of ``rims._fiber`` from Q(w_J) as ``rsk`` records it,
     bumping every step down to the last: at every step it tests each row of
     the remaining shape for a corner, a row longer than the row below it,
-    and reverse-bumps from each corner in row order.  ``walk(place)`` makes
-    the calls ``place(s, x, i, filled)`` that ``_fiber``'s walk makes, in
-    the same order; the reference for ``_fiber``'s tableau read off the
-    blocks and for its last three steps read off the values left.
+    and reverse-bumps from each corner in row order.  ``walk(place)`` calls
+    ``place(s, x, i, filled)`` at every step, in the order ``_fiber``'s
+    walk makes its steps, the last three handed to its leaf included; the
+    reference for ``_fiber``'s tableau read off the blocks and for its last
+    three steps read off the values left.
     """
     w_j = longest_parabolic_element(parts)
     rows = [[x - 1 for x in row] for row in rsk(w_j)[1]]

@@ -502,6 +502,17 @@ def test_a_cell_past_the_record_character_range_is_refused(capsys):
     assert err.count("\n") == 1
 
 
+def test_the_count_of_a_cell_past_the_character_range_is_bounded_by_max_n_alone(capsys):
+    # the 1492 limit is on listing elements; --count-only is the hook-length
+    # count, which walks nothing
+    argv = ["cell", "--composition", "1493", "--max-n", "2000"]
+    assert run(argv + ["--count-only"]) == (0, "1\n")
+    assert run(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=1493 exceeds 1492, ")
+    assert err.count("\n") == 1
+
+
 def test_a_huge_cell_under_an_equally_huge_bound_is_refused_before_any_work(capsys):
     # the range is checked before w_J or Q(w_J) is built, so this returns at once
     argv = ["cell", "--composition", "1000000000", "--max-n", "1000000000"]

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from collections import Counter
 from functools import cached_property
 from itertools import chain, permutations
 from math import comb, factorial, prod
@@ -213,24 +214,43 @@ def test_zone_matches_inverse_insertion_of_every_tableau():
 
 
 def walk_trace(walk, prune):
-    """Every call the walk makes to place, which cuts below (s, x, i) when
-    ``prune`` says so."""
+    """
+    Every step the walk makes, as a call to place, which cuts below (s, x,
+    i) when ``prune`` says so.  A walk of ``_fiber`` hands the steps 3, 2
+    and 1 to its leaf, which replays them through place in that order, with
+    the same cuts; a walk with n <= 2 repeats its first step for each step
+    missing above it, and the leaf replays only the last of the repeats.
+    """
     trace = []
 
     def place(s, x, i, filled):
         trace.append((s, x, i, filled))
         return not prune(s, x, i)
 
-    walk(place)
+    def leaf(filled, x, i, y, j, z, k):
+        for s, x, i, then in ((3, x, i, j), (2, y, j, k), (1, z, k, None)):
+            if i != then:
+                if not place(s, x, i, filled):
+                    return
+                filled |= 1 << i
+
+    walk(place, leaf)
     return trace
 
 
+def scanning(parts):
+    """``row_scanning_walk``, which calls place at every step, taking a leaf it never calls."""
+    walk = row_scanning_walk(parts)
+    return lambda place, leaf: walk(place)
+
+
 def test_the_corner_walk_makes_the_calls_of_the_row_scanning_walk():
-    # the whole place trace, on full walks and on walks cut at about one
+    # the whole trace of steps, on full walks and on walks cut at about one
     # call in five, so pruned subtrees leave the rows as they found them;
-    # and cut at every call of step 3, or of step 2, so a false return
-    # still cuts below the steps read off the last three values, where the
-    # walks with n <= 3 start.  The tall shapes have many rows to scan.
+    # and cut at every call of step 3, or of step 2, which reach _fiber's
+    # walk through its leaf, so a false return still cuts below the steps
+    # read off the last three values, where the walks with n <= 3 start.
+    # The tall shapes have many rows to scan.
     def never(s, x, i):
         return False
 
@@ -247,15 +267,39 @@ def test_the_corner_walk_makes_the_calls_of_the_row_scanning_walk():
     tall = [(1, 20, 1), (30,), (2, 9, 1, 1, 1), (1, 1, 6, 1, 1)]
     cut = 0
     for parts in chain(*map(compositions_of, range(1, 9)), n12, tall):
-        full = walk_trace(row_scanning_walk(parts), never)
-        pruned = walk_trace(row_scanning_walk(parts), sometimes)
+        full = walk_trace(scanning(parts), never)
+        pruned = walk_trace(scanning(parts), sometimes)
         assert walk_trace(_fiber(parts), never) == full, parts
         assert walk_trace(_fiber(parts), sometimes) == pruned, parts
         cut += len(pruned) < len(full)
         for prune in (at_3, at_2):
-            expected = walk_trace(row_scanning_walk(parts), prune)
+            expected = walk_trace(scanning(parts), prune)
             assert walk_trace(_fiber(parts), prune) == expected, (parts, prune)
     assert cut > 200
+
+
+def test_a_walk_hands_each_element_to_one_leaf_call():
+    # with n >= 3, place sees only the steps s >= 4 and leaf every element
+    # once; a walk with n <= 2 still yields its one element, the identity
+    for parts in [(3, 1, 2, 4, 2), (1, 1, 1), (2, 1)]:
+        steps, leaves = [], []
+        _fiber(parts)(lambda s, x, i, filled: steps.append(s) or True, lambda *a: leaves.append(a))
+        assert len(leaves) == cell_size(parts), parts
+        assert all(s >= 4 for s in steps), parts
+    for parts in [(1,), (2,), (1, 1)]:
+        assert [e for e, _ in cell_elements(parts)] == [longest_parabolic_element(parts)], parts
+        assert [decode(record, sum(parts))[:2] for record in _zone(parts)] == [
+            (0, tuple(range(1, sum(parts) + 1)))
+        ], parts
+
+
+def test_length_counts_are_the_histogram_of_the_zone_lengths():
+    for n in range(1, 9):
+        for parts in compositions_of(n):
+            lengths = Counter(ord(record[0]) for record in _zone(parts))
+            counts = _length_counts(parts)
+            assert counts == [lengths[ell] for ell in range(len(counts))], parts
+            assert sum(counts) == cell_size(parts), parts
 
 
 def composition_from_cuts(n, cuts):
@@ -281,7 +325,7 @@ def test_the_block_rule_walks_as_the_tableau_of_rsk(parts):
     def first_three(s, x, i):
         return s == n - 2
 
-    expected = walk_trace(row_scanning_walk(parts), first_three)
+    expected = walk_trace(scanning(parts), first_three)
     assert walk_trace(_fiber(parts), first_three) == expected
 
 
@@ -604,7 +648,7 @@ def test_the_fiber_walk_keeps_no_state_per_shape():
         walk = _fiber(parts)
         tracemalloc.start()
         try:
-            walk(lambda s, x, i, filled: True)
+            walk(lambda s, x, i, filled: True, lambda filled, x, i, y, j, z, k: None)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
