@@ -18,16 +18,24 @@ A ``RimResult`` stores only the canonical diagrams of the rim; elements and
 flags are read off them.  Each closed family is built once, as written; the
 rim of a reversed member is the half-turn of the reverse's rim.
 
-Both searches are one walk, ``_fiber``, of the Robinson-Schensted fiber
-{v : Q(v) = Q(w_J)} = w_J Z, each handing it a pair of callbacks: one for
-a step above the last three, one for the last three steps of an element.
-Q(w_J) is read off the blocks of the composition, with no insertion: its
-row r holds the (r+1)-th position of every block longer than r.  A step of
-the walk scans the rows for the corners of its shape and keeps nothing per
-shape, and the last three steps are read off the values left, with no
-bumping.
+Both searches walk the Robinson-Schensted fiber {v : Q(v) = Q(w_J)} =
+w_J Z by reverse-bumping Q(w_J), which is read off the blocks of the
+composition with no insertion: its row r holds the (r+1)-th position of
+every block longer than r.  The walk below a step depends on the tableau
+left alone, and the two searches revisit tableaux at very different
+rates, so they walk two ways.  A cell revisits a few tableaux very often:
+the 628,357 steps above the last three of the cell of (3,1,2,4,1,3,2)
+reach 514 tableaux.  So ``_tableaux`` builds the walk once per cell as a
+DAG of the tableaux left, each bumped once, and the cell walks the DAG,
+with every code entry made once per edge.  ``rim_search`` cuts its walks
+early and visits most tableaux once or twice: ``verify all --max-n 8``
+makes 9,108 steps above the last three over 4,215 tableaux.  It keeps
+the bump walk ``_fiber``, which hands a pair of callbacks each step and
+the last three steps of each element, keeps nothing per shape, and reads
+the last three steps off the values left; its live rows are what an
+in-walk probe would read.
 
-The cell's callbacks record every element as one str: the key, l(e) and
+The cell's walk records every element as one str: the key, l(e) and
 e with one character per entry, so the records sort as (l(e), e) by plain
 string comparison; then the text of the values of w_J e and of the
 lex-least reduced word of e, each step writing the text of its value and
@@ -36,9 +44,10 @@ key, so its readers see only the values, a mark where w_J's word goes,
 and the word of e: ``klrim cell`` spells the numbers in decimal and puts
 in the word, ``cell_elements`` spells them as one character each and
 splits at the mark.  A cell past a record budget is walked once per
-band of lengths, each walk cutting the subtrees whose lengths miss its
-band, after a first walk that counts the elements of each length; so
-the records held stay within about the budget, however large the cell.
+band of lengths, each walk over a cut of the DAG that keeps only the
+edges with an element in its band; the lengths are counted off the DAG
+with no walk, so the records held stay within about the budget, however
+large the cell, for no walk more than the bands.
 
 ``rim_search`` cuts every subtree whose elements a dual Knuth move shows
 to have an extension inside Z, and tests the leaves that survive exactly,
@@ -50,10 +59,11 @@ Q(w_J), by the hook-length formula.
 from __future__ import annotations
 
 import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from math import comb, factorial, isqrt, prod
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -86,18 +96,19 @@ DEFAULT_SEARCH_BOUND = 10
 _MAX_RECORD_N = 1492  # see _check_record_range
 # the most records _cell holds at a time, but for a single length that holds
 # more: an n = 18 record of JSON text takes about 270 B, so 450,000 of them
-# about 120 MB.  A cell just past the budget pays a counting walk and two
-# band walks where one walk would do: `klrim cell` on the 500,500 elements
-# of (1,2,4,2,3,4) takes 1.8-1.9 s, against 0.87 s for the 416,988 of
-# (3,1,2,4,1,3,2) in one walk (2 cores, JSON to a pipe)
+# about 120 MB.  A cell just past the budget is two band walks where one
+# walk would do: `klrim cell` on the 500,500 elements of (1,2,4,2,3,4)
+# took 1.85-2.5 s, against 1.4-2.0 s for the 416,988 of (3,1,2,4,1,3,2)
+# in one walk (2 cores, JSON to a pipe, on a host where these took
+# 3.6-5.7 and 1.9-3.0 s with a counting walk and no DAG)
 _RECORD_BUDGET = 450_000
 
 THEOREMS = ("T2.16a", "T3.5a", "T3.7a", "T3.15a", "C3.16a", "P3.2a")
 
-# place(s, x, i, filled) -> whether the walk goes below step s >= 4; see _fiber
-Place = Callable[[int, int, int, int], bool]
-# leaf(filled, x, i, y, j, z, k): the steps 3, 2 and 1 of one element; see _fiber
-Leaf = Callable[[int, int, int, int, int, int, int], None]
+# place(s, x, i) -> whether the walk goes below step s >= 4; see _fiber
+Place = Callable[[int, int, int], bool]
+# leaf(x, i, y, j, z, k): the steps 3, 2 and 1 of one element; see _fiber
+Leaf = Callable[[int, int, int, int, int, int], None]
 
 
 class SearchBoundExceeded(ValueError):
@@ -151,14 +162,22 @@ def check_search_bound(n: int, bound: int | None) -> int:
     return n
 
 
+def _too_deep(n: int) -> SearchBoundExceeded:
+    """The refusal of a walk of n steps that runs into Python's recursion limit."""
+    return SearchBoundExceeded(
+        f"n={n} exceeds the depth that the recursive fiber walk can reach "
+        f"under Python's recursion limit {sys.getrecursionlimit()}"
+    )
+
+
 def _fiber(parts: Composition) -> Callable[[Place, Leaf], None]:
     """
     A depth-first walk of the Robinson-Schensted fiber {v : Q(v) = Q(w_J)},
     the elements w_J e for e in Z: ``walk(place, leaf)`` calls
-    ``place(s, x, i, filled)`` after each ejection at a step s >= 4, and
-    hands each element's last three ejections, at the steps 3, 2 and 1, to
-    one call ``leaf(filled, x, i, y, j, z, k)``.  The callers check the
-    bound on n before they ask for the walk.  The walk recurses once per
+    ``place(s, x, i)`` after each ejection at a step s >= 4, and hands each
+    element's last three ejections, at the steps 3, 2 and 1, to one call
+    ``leaf(x, i, y, j, z, k)``.  ``rim_search``, its one caller, checks the
+    bound on n before it asks for the walk.  The walk recurses once per
     step above the last three; one that runs into Python's recursion limit
     is refused with SearchBoundExceeded, before its caller has written
     anything.
@@ -171,12 +190,12 @@ def _fiber(parts: Composition) -> Callable[[Place, Leaf], None]:
     share those bumps, and backtracking undoes a bump by inserting the
     ejected value again.  The value x ejected at step s is the position of
     s in v = w_J e, and i = w_J(x+1) - 1 the position of s in e, w_J being
-    an involution; ``filled`` has the bits of the positions of e written
-    before step s.  The walk goes below step s only when ``place`` returns
+    an involution.  The walk goes below step s only when ``place`` returns
     true.  ``leaf`` gets (x, i) of step 3, (y, j) of step 2 and (z, k) of
-    step 1, with the bits written before step 3; it sees every element
-    below the cuts of ``place`` once, and cuts nothing.  Q(w_J) has descent
-    set J, so every e is a minimal coset representative.
+    step 1; it sees every element below the cuts of ``place`` once, and
+    cuts nothing.  Q(w_J) has descent set J, so every e is a minimal coset
+    representative.  ``_tableaux`` makes the same bumps once per tableau
+    left, for the cell.
 
     Each row of Q(w_J) has a bump table: the row, the row below it, and the
     rows above it bottom-up and top-down.  The tables hold the very lists
@@ -194,10 +213,8 @@ def _fiber(parts: Composition) -> Callable[[Place, Leaf], None]:
     first corner, then b, c, a if c > b and a, b, c otherwise from its
     second.  A walk with n <= 2 has one element, the identity, whose step
     s writes position s - 1: its ``leaf`` gets its top step again for each
-    step missing above it.  A repeat's writes are overwritten by the step
-    it repeats, and it counts no code entry, every position left of its own
-    being open, nor a pair with the step it repeats; the callers' tables by
-    step reach step 3, and step 4 above it, whatever n.
+    step missing above it, so ``rim_search``'s tables by step reach step 3
+    whatever n.
 
     Q(w_J) needs no insertion: row r holds the (r+1)-th position of every
     block longer than r.  w_J lists each block in decreasing order, above
@@ -218,10 +235,10 @@ def _fiber(parts: Composition) -> Callable[[Place, Leaf], None]:
 
     def walk(place: Place, leaf: Leaf) -> None:
         if n < 3:  # e is the identity; its top step stands in for each step missing
-            leaf(0, slot[n - 1], n - 1, slot[n - 1], n - 1, slot[0], 0)
+            leaf(slot[n - 1], n - 1, slot[n - 1], n - 1, slot[0], 0)
             return
 
-        def remove(s: int, filled: int) -> None:
+        def remove(s: int) -> None:
             deeper = remove if s > 4 else tail
             for row, lower, rising, falling in table:
                 if len(row) > len(lower):
@@ -230,37 +247,34 @@ def _fiber(parts: Composition) -> Callable[[Place, Leaf], None]:
                         j = bisect_left(up, x) - 1
                         up[j], x = x, up[j]
                     i = slot[x]
-                    if place(s, x, i, filled):
-                        deeper(s - 1, filled | 1 << i)
+                    if place(s, x, i):
+                        deeper(s - 1)
                     for up in falling:
                         j = bisect_left(up, x)
                         up[j], x = x, up[j]
                     row.append(x)
 
-        def tail(s: int, filled: int) -> None:
+        def tail(s: int) -> None:
             # the steps 3, 2 and 1, read off the values in rows 0-2
             if len(top) == 3:  # a row ejects from its end
                 a, b, c = top
-                leaf(filled, c, slot[c], b, slot[b], a, slot[a])
+                leaf(c, slot[c], b, slot[b], a, slot[a])
             elif len(top) == 1:  # a column ejects from its top
                 a, b, c = top[0], middle[0], bottom[0]
-                leaf(filled, a, slot[a], b, slot[b], c, slot[c])
+                leaf(a, slot[a], b, slot[b], c, slot[c])
             else:  # [a, b] over [c]: the corner of row 0, then of row 1
                 (a, b), (c,) = top, middle
                 i, j, k = slot[a], slot[b], slot[c]
-                leaf(filled, b, j, a, i, c, k)
+                leaf(b, j, a, i, c, k)
                 if c > b:
-                    leaf(filled, b, j, c, k, a, i)
+                    leaf(b, j, c, k, a, i)
                 else:
-                    leaf(filled, a, i, b, j, c, k)
+                    leaf(a, i, b, j, c, k)
 
         try:
-            (remove if n > 3 else tail)(n, 0)
+            (remove if n > 3 else tail)(n)
         except RecursionError:
-            raise SearchBoundExceeded(
-                f"n={n} exceeds the depth that the recursive fiber walk can reach "
-                f"under Python's recursion limit {sys.getrecursionlimit()}"
-            ) from None
+            raise _too_deep(n) from None
         finally:
             # remove's closure holds remove itself; unbinding it breaks that
             # cycle, so what place kept is freed by its last reader, not by a
@@ -310,122 +324,199 @@ class _Spelling:
         return "".join(self.word_sep + self.number(k) for k in run)
 
 
-def _zone(
-    parts: Composition,
-    spelling: _Spelling = _Spelling(),
-    band: tuple[int, int] | None = None,
-) -> list[str]:
+class _Node(list):
     """
-    Every element e of Z, in walk order, as one str record: the key, chr(l(e))
-    and then e with one character chr(s) per entry s, so the records compare
-    as (l(e), e); then the text of the values of w_J e, ``_MARK``, and the
-    text of the word of e, each generator after its separator, as
-    ``spelling`` spells them.  The walk of ``_fiber`` writes the entries of
-    e largest first, so the code entry c_i = #{j < i : e_j > e_i} counts the
+    One tableau left in the rows of the fiber walk, as the steps below it,
+    each made once.  With s >= 4 boxes, an edge (x, i, c, child) per corner
+    in the order of ``_fiber``'s scan: the step s ejects the value x,
+    writes the position i, and its code entry is c = c_i; ``child`` is the
+    tableau left after it.  With 3 boxes, a leaf (x, i, c, y, j, d, z, k, f)
+    per element below: the steps 3, 2 and 1, in that order.
+    ``_length_counts`` sets ``least`` and ``most``, the least and the
+    largest sum of the code entries from the node's step down.
+    """
+
+    __slots__ = ("least", "most")
+
+
+def _tableaux(parts: Composition) -> _Node:
+    """
+    The walk of ``_fiber`` as a DAG of the tableaux left in its rows: the
+    root is Q(w_J), and a node is built on its first entry, by the bumps of
+    ``_fiber``, and shared by every later one.  Below a step, the walk
+    depends on the tableau left alone: the positions written are those of
+    the values ejected, so each code entry below is read off it too.  The
+    628,357 steps above the last three of the cell of (3,1,2,4,1,3,2),
+    n = 16, reach 514 tableaux.
+
+    A tableau's key is one bytes, two per box of Q(w_J): each row keeps a
+    view of its slots, which every bump and undo writes as it writes the
+    row, so a key is one copy, with no walk over the rows and no int made
+    per row of a tall shape.  The tableaux of 2 boxes or fewer are built
+    as plain lists of edges, and a node of 3 boxes lists every path
+    through them.  A walk with n <= 2 has one element, the identity, whose
+    step s writes position s - 1: its root lists the path with its top
+    step repeated for each step missing above it.  A repeat's writes are
+    overwritten by the step it repeats, and its code entry, at the root,
+    is 0.  A build that runs into Python's recursion limit is refused with
+    SearchBoundExceeded, before anything is walked.
+    """
+    n = sum(parts)
+    starts = list(accumulate(parts, initial=0))
+    rows = [[a + r for a, p in zip(starts, parts) if p > r] for r in range(max(parts))]
+    # a slot per box of Q(w_J), holding n once the box is ejected
+    boxes = array("H", chain.from_iterable(rows))
+    ends = accumulate(map(len, rows))
+    views = [memoryview(boxes)[end - len(row):end] for row, end in zip(rows, ends)]
+    # each row, the row below it, its view and its index, made once:
+    # enumerate would make an int per row of a tall shape at every step
+    table = list(zip(rows, rows[1:] + [[]], views, range(len(rows))))
+    slot = [x - 1 for x in longest_parabolic_element(parts)]
+    left = [(1 << i) - 1 for i in range(n)]
+    built: dict[bytes, list] = {}
+
+    def expand(s: int, filled: int) -> list:
+        edges = []
+        for row, lower, view, r in table:
+            if len(row) > len(lower):
+                x = row.pop()
+                view[len(row)] = n
+                for up, mirror in zip(reversed(rows[:r]), reversed(views[:r])):
+                    j = bisect_left(up, x) - 1
+                    up[j], x = x, up[j]
+                    mirror[j] = up[j]
+                i = slot[x]
+                key = boxes.tobytes()
+                child = built.get(key)
+                if child is None:
+                    child = built[key] = expand(s - 1, filled | 1 << i)
+                edges.append((x, i, (filled & left[i]).bit_count(), child))
+                for up, mirror in zip(rows[:r], views[:r]):
+                    j = bisect_left(up, x)
+                    up[j], x = x, up[j]
+                    mirror[j] = up[j]
+                view[len(row)] = x
+                row.append(x)
+            elif not row:  # nor is any row below
+                break
+        if s > 3:
+            return _Node(edges)
+        return _Node(_paths(edges)) if s == 3 else edges
+
+    try:
+        root = expand(n, 0)
+    except RecursionError:
+        raise _too_deep(n) from None
+    finally:
+        del expand  # its closure holds it, and the keys, until a cyclic collection
+    if n < 3:
+        return _Node(path[:3] * (3 - n) + path for path in _paths(root))
+    return root
+
+
+def _paths(edges: list) -> list[tuple[int, ...]]:
+    """Every path of steps (x, i, c) below a tableau of 3 boxes or fewer, flattened."""
+    if not edges:
+        return [()]
+    return [(x, i, c) + rest for x, i, c, child in edges for rest in _paths(child)]
+
+
+def _zone(root: _Node, n: int, spelling: _Spelling = _Spelling()) -> list[str]:
+    """
+    Every element e below ``root``, a DAG of ``_tableaux`` or a band of one
+    from ``_band``, in walk order, as one str record: the key, chr(l(e))
+    and then e with one character chr(s) per entry s, so the records
+    compare as (l(e), e); then the text of the values of w_J e, ``_MARK``,
+    and the text of the word of e, each generator after its separator, as
+    ``spelling`` spells them.  The walk writes the entries of e largest
+    first, so the code entry c_i = #{j < i : e_j > e_i} counts the
     positions left of i already written when i is; l(e) is their sum, and
     the lex-least reduced word of e, the one ``reduced_word`` returns, is
     the concatenation of the runs (i, i-1, ..., i-c_i+1) over the positions
     i counted from 0.  Each step writes the text of its value, and of its
     run from a ``_Runs`` table that makes each run once per call, into the
-    record's slots: ``place`` one step, ``leaf`` the last three and the
-    join, the one a record is made by.  Every value opens with its
-    separator, the first one too, which ``_cell`` cuts off with the key.
-
-    With ``band = (lo, hi)`` only the elements with lo <= l(e) <= hi are
-    kept: the walk runs both callbacks behind ``_band_cut``, which cuts
-    every subtree whose lengths miss the band.  Without a band the walk
-    runs them alone: the cut's bookkeeping on every step made ``klrim
-    cell`` 18% slower on a dozen cells of n = 12, in 12 alternated runs.
-    n is checked by ``_cell``, the entry point, before any walk.
+    record's slots, and each leaf writes the last three and joins the
+    record.  Every value opens with its separator, the first one too, which
+    ``_cell`` cuts off with the key.
     """
-    n = sum(parts)
-    walk = _fiber(parts)
-    steps = max(n, 3)  # a leaf writes the steps 3, 2 and 1 even when n < 3
-    left = [(1 << i) - 1 for i in range(n)]
     off = [i * (i + 1) // 2 for i in range(n)]
-    entry = [chr(s) for s in range(steps + 1)]
-    values = [spelling.value_sep + spelling.number(s) for s in range(steps + 1)]
+    entry = [chr(s) for s in range(max(n, 3) + 1)]
+    values = [spelling.value_sep + spelling.number(s) for s in range(max(n, 3) + 1)]
     runs = _Runs(spelling.run)
     # record[e + i] = e_i, record[v + x] = the text of v_x, record[w + i] = the run of i
     e, v, w = 1, n + 1, 2 * n + 2
     record = [""] * (3 * n + 2)
     record[w - 1] = _MARK
     zone = []
+    e3, e2, e1 = entry[3], entry[2], entry[1]
+    v3, v2, v1 = values[3], values[2], values[1]
 
-    length = [0] * (steps + 2)  # length[s]: the code entries written by steps n..s
+    def visit(node: _Node, s: int, above: int) -> None:
+        es, vs = entry[s], values[s]
+        for x, i, c, child in node:
+            record[e + i] = es
+            record[v + x] = vs
+            record[w + i] = runs[off[i] + c]
+            if s > 4:
+                visit(child, s - 1, above + c)
+            else:
+                leaves(child, above + c)
 
-    def place(s: int, x: int, i: int, filled: int) -> bool:
-        c = (filled & left[i]).bit_count()
-        record[e + i] = entry[s]
-        record[v + x] = values[s]
-        record[w + i] = runs[off[i] + c]
-        length[s] = length[s + 1] + c
-        return True
+    def leaves(node: _Node, above: int) -> None:
+        for x, i, c, y, j, d, z, k, f in node:
+            record[e + i] = e3
+            record[v + x] = v3
+            record[w + i] = runs[off[i] + c]
+            record[e + j] = e2
+            record[v + y] = v2
+            record[w + j] = runs[off[j] + d]
+            record[e + k] = e1
+            record[v + z] = v1
+            record[w + k] = runs[off[k] + f]
+            record[0] = chr(above + c + d + f)
+            zone.append("".join(record))
 
-    def leaf(filled: int, x: int, i: int, y: int, j: int, z: int, k: int) -> None:
-        # every position but the open ones is written: c_i counts the written
-        # left of i, so c_k = k once only k is open
-        c = i - (j < i) - (k < i)
-        d = j - (k < j)
-        record[e + i] = entry[3]
-        record[v + x] = values[3]
-        record[w + i] = runs[off[i] + c]
-        record[e + j] = entry[2]
-        record[v + y] = values[2]
-        record[w + j] = runs[off[j] + d]
-        record[e + k] = entry[1]
-        record[v + z] = values[1]
-        record[w + k] = runs[off[k] + k]
-        record[0] = chr(length[4] + c + d + k)
-        zone.append("".join(record))
-
-    if band is not None:
-        place, leaf = _band_cut(parts, band, place, leaf)
-    walk(place, leaf)
+    if n > 3:
+        visit(root, n, 0)
+    else:
+        leaves(root, 0)
+    del visit  # its closure holds it, and the records, until a cyclic collection
     return zone
 
 
-def _band_cut(
-    parts: Composition, band: tuple[int, int], place: Place, leaf: Leaf
-) -> tuple[Place, Leaf]:
+def _band(root: _Node, n: int, lo: int, hi: int) -> _Node:
     """
-    ``place`` and ``leaf`` behind a cut of every subtree of the walk of
-    ``_fiber`` whose elements e all miss lo <= l(e) <= hi, for ``band =
-    (lo, hi)``.  After step s, the pairs of two written positions add the
-    code entries so far to l(e), and the pairs of a written position j and
-    an open position i add #{j < i}, since the written value is the
-    larger: the two grow by c_i + s - 1 - i when step s writes position i,
-    and their sum least[s] is exact for those pairs.  The pairs of two open positions add at most
-    spread[s], the open pairs in different blocks, since e increases along
-    each block.  The values are written largest first, so the position
-    written is the last open one of its block, and writing it closes s - 1
-    of the open pairs less its offset in the block.  At the leaf the three
-    open positions i, j and k take the values 3, 2 and 1, so their pairs
-    add exactly (i < j) + (i < k) + (j < k), and the leaf is kept exactly
-    when l(e) = least[4] plus these lies in the band.
+    The DAG below ``root`` cut to the elements e with lo <= l(e) <= hi,
+    after ``_length_counts`` has set the nodes' bounds.  A node reached
+    with code entries summing to ``above`` keeps an edge (x, i, c, child)
+    when above + c plus the child's least or largest sum meets the band,
+    and then only if the child's cut keeps something; a 3-box node keeps
+    the leaves whose lengths lie in the band.  Each pair of a node and a
+    sum above it is cut once.
     """
-    n = sum(parts)
-    lo, hi = band
-    left = [(1 << i) - 1 for i in range(n)]
-    # closed[i]: the open pairs inside its block that writing position i closes
-    closed = [i for p in parts for i in range(p)]
-    least = [0] * (max(n, 3) + 2)  # a leaf reads least[4] even when n < 3
-    spread = [0] * (n + 2)  # the open pairs in different blocks
-    spread[n + 1] = comb(n, 2) - sum(comb(p, 2) for p in parts)
+    cuts: dict[tuple[int, int], _Node] = {}
 
-    def cut(s: int, x: int, i: int, filled: int) -> bool:
-        c = (filled & left[i]).bit_count()
-        least[s] = low = least[s + 1] + c + s - 1 - i
-        if low > hi:
-            return False
-        spread[s] = more = spread[s + 1] - s + 1 + closed[i]
-        return low + more >= lo and place(s, x, i, filled)
+    def cut(node: _Node, s: int, above: int) -> _Node:
+        key = id(node), above
+        kept = cuts.get(key)
+        if kept is None:
+            kept = cuts[key] = _Node()
+            if s > 3:
+                for x, i, c, child in node:
+                    at = above + c
+                    if at + child.least <= hi and lo <= at + child.most:
+                        below = cut(child, s - 1, at)
+                        if below:
+                            kept.append((x, i, c, below))
+            else:
+                kept.extend(
+                    leaf for leaf in node if lo <= above + leaf[2] + leaf[5] + leaf[8] <= hi
+                )
+        return kept
 
-    def cut_leaf(filled: int, x: int, i: int, y: int, j: int, z: int, k: int) -> None:
-        if lo <= least[4] + (i < j) + (i < k) + (j < k) <= hi:
-            leaf(filled, x, i, y, j, z, k)
-
-    return cut, cut_leaf
+    band = cut(root, max(n, 3), 0)
+    del cut  # its closure holds it, and every copy, until a cyclic collection
+    return band
 
 
 class _Runs(dict):
@@ -445,24 +536,39 @@ class _Runs(dict):
         return run
 
 
-def _length_counts(parts: Composition) -> list[int]:
-    """How many elements e of Z have each length l(e) = 0, 1, ..., n(n-1)/2."""
-    n = sum(parts)
-    walk = _fiber(parts)
-    left = [(1 << i) - 1 for i in range(n)]
-    length = [0] * (max(n, 3) + 2)  # a leaf reads length[4] even when n < 3
-    counts = [0] * (comb(n, 2) + 1)
+def _length_counts(root: _Node, n: int) -> list[int]:
+    """
+    How many elements e of Z have each length l(e) = 0, 1, ..., n(n-1)/2,
+    by dynamic programming over the DAG of ``_tableaux``, with no walk: the
+    sums of the code entries below a node are those below each child,
+    moved up by the code entry of the edge.  Each node is counted once and
+    gets its ``least`` and ``most`` sum, the bounds ``_band`` cuts by.
+    """
+    counted: dict[int, list[int]] = {}
 
-    def place(s: int, x: int, i: int, filled: int) -> bool:
-        length[s] = length[s + 1] + (filled & left[i]).bit_count()
-        return True
+    def count(node: _Node, s: int) -> list[int]:
+        # sums[m]: the elements below whose code entries from step s down sum to m
+        sums = counted.get(id(node))
+        if sums is None:
+            sums = counted[id(node)] = []
+            if s > 3:
+                for x, i, c, child in node:
+                    below = count(child, s - 1)
+                    sums.extend([0] * (c + len(below) - len(sums)))
+                    for m, k in enumerate(below, c):
+                        sums[m] += k
+            else:
+                for leaf in node:
+                    m = leaf[2] + leaf[5] + leaf[8]
+                    sums.extend([0] * (m + 1 - len(sums)))
+                    sums[m] += 1
+            node.least = next(m for m, k in enumerate(sums) if k)
+            node.most = len(sums) - 1
+        return sums
 
-    def leaf(filled: int, x: int, i: int, y: int, j: int, z: int, k: int) -> None:
-        # the code entries of the last three, as in _zone
-        counts[length[4] + i - (j < i) - (k < i) + j - (k < j) + k] += 1
-
-    walk(place, leaf)
-    return counts
+    lengths = count(root, max(n, 3))
+    del count  # its closure holds it, and every node's sums, until a cyclic collection
+    return lengths + [0] * (comb(n, 2) + 1 - len(lengths))
 
 
 def _bands(counts: Sequence[int], budget: int) -> list[tuple[int, int]]:
@@ -499,12 +605,14 @@ def _cell(
     value's separator, as they are read.  w_J reverses each block of
     positions, so its code counts 0, 1, ..., p-1 along a block of p.
 
-    A cell of at most ``_RECORD_BUDGET`` elements is one walk and one sort.
-    A larger one holds about a budget of records at a time: a first walk
-    counts the elements of each length and keeps nothing, the lengths are
-    cut into bands of at most a budget each by ``_bands``, and the records
-    come band by band, each band a walk of its own, sorted as it is read.
-    The checks, and the one walk or the count, run at the call.
+    The DAG of ``_tableaux`` is built once per call.  A cell of at most
+    ``_RECORD_BUDGET`` elements is one walk of it and one sort.  A larger
+    one holds about a budget of records at a time: ``_length_counts``
+    counts the elements of each length off the DAG, the lengths are cut
+    into bands of at most a budget each by ``_bands``, and the records come
+    band by band, each band a walk of its own cut of the DAG, sorted as it
+    is read.  The checks, the DAG, and the one walk or the count, are made
+    at the call.
     """
     n = _check_record_range(check_search_bound(sum(parts), bound))
     spelling = _Spelling(number, value_sep, word_sep)
@@ -513,23 +621,25 @@ def _cell(
         spelling.run(range(i, a, -1)) for a, p in zip(starts, parts) for i in range(a + 1, a + p)
     )[len(word_sep):]
     cut = itemgetter(slice(n + 1 + len(value_sep), None))
+    root = _tableaux(parts)
     if cell_size(parts) <= _RECORD_BUDGET:
-        zone = _zone(parts, spelling)
+        zone = _zone(root, n, spelling)
         zone.sort()  # by (l(e), e); e never repeats, so nothing further is compared
         return head, map(cut, zone)
-    bands = _bands(_length_counts(parts), _RECORD_BUDGET)
-    return head, _banded(parts, spelling, bands, cut)
+    bands = _bands(_length_counts(root, n), _RECORD_BUDGET)
+    return head, _banded(root, n, spelling, bands, cut)
 
 
 def _banded(
-    parts: Composition,
+    root: _Node,
+    n: int,
     spelling: _Spelling,
     bands: list[tuple[int, int]],
     cut: Callable[[str], str],
 ) -> Iterator[str]:
     """The cut records of each band in turn, sorted; one band is held at a time."""
-    for band in bands:
-        zone = _zone(parts, spelling, band)
+    for lo, hi in bands:
+        zone = _zone(_band(root, n, lo, hi), n, spelling)
         zone.sort()
         yield from map(cut, zone)
         del zone  # before the next band's walk
@@ -591,7 +701,7 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     witnessed = [(), (2, 1)] + [(s + 1,) for s in range(2, steps + 1)]
     rim = []
 
-    def place(s: int, x: int, i: int, filled: int) -> bool:
+    def place(s: int, x: int, i: int) -> bool:
         in_v[s], in_e[s], v[x], e[i] = x, i, s, s
         for k in witnessed[s]:
             if k < n and in_e[k] < in_e[k + 1]:
@@ -613,9 +723,9 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
         rim.append(tuple(e))
         return False
 
-    def leaf(filled: int, x: int, i: int, y: int, j: int, z: int, k: int) -> None:
-        if place(3, x, i, filled) and place(2, y, j, filled | 1 << i):
-            place(1, z, k, filled | 1 << i | 1 << j)
+    def leaf(x: int, i: int, y: int, j: int, z: int, k: int) -> None:
+        if place(3, x, i) and place(2, y, j):
+            place(1, z, k)
 
     walk(place, leaf)
     return RimResult(parts, (_diagram_from_element(y, parts) for y in rim))
@@ -651,8 +761,9 @@ def cell_elements(
     records of ``_cell`` as ``klrim cell`` reads them, with one character
     per value and per generator in place of its text; so a cell past the
     record budget is read in bands of lengths, a walk each, with at most
-    about a budget of records held.  The call checks its input and makes
-    the one walk, or the count of a banded cell.  Each word is the lex-least
+    about a budget of records held.  The call checks its input, builds the
+    DAG of ``_tableaux`` and makes the one walk, or counts the lengths of a
+    banded cell off the DAG.  Each word is the lex-least
     one, the one ``reduced_word`` gives, and the characters become ints
     through one list per call, which all pairs share.
 

@@ -29,7 +29,7 @@ from klrim import (
     young_diagram,
 )
 from klrim import rims
-from klrim.rims import _MARK, _p_diagram, _zone
+from klrim.rims import _MARK, _p_diagram, _tableaux, _zone
 
 
 def decode(record: str, n: int) -> tuple[int, Perm, Perm, tuple[int, ...]]:
@@ -41,24 +41,26 @@ def decode(record: str, n: int) -> tuple[int, Perm, Perm, tuple[int, ...]]:
     return ord(key[0]), tuple(map(ord, key[1:])), tuple(map(ord, values)), tuple(map(ord, word))
 
 
-def count_walks(monkeypatch) -> list[tuple]:
+def zone_records(parts) -> list[str]:
+    """The records of ``rims._zone`` for the whole cell, in walk order."""
+    return _zone(_tableaux(parts), sum(parts))
+
+
+def count_walks(monkeypatch) -> list[int]:
     """
-    Patch ``rims._fiber`` so that each walk it makes is listed, by the
-    composition walked, in the list returned.
+    Patch ``rims._zone``, the walk of a cell or of a band of its lengths,
+    so that each walk it makes is listed, by the number of records it
+    made, in the list returned.
     """
     walks = []
-    fiber = rims._fiber
+    zone = rims._zone
 
-    def counted(parts):
-        walk = fiber(parts)
+    def counted(*args):
+        records = zone(*args)
+        walks.append(len(records))
+        return records
 
-        def counting(place, leaf):
-            walks.append(parts)
-            walk(place, leaf)
-
-        return counting
-
-    monkeypatch.setattr(rims, "_fiber", counted)
+    monkeypatch.setattr(rims, "_zone", counted)
     return walks
 
 
@@ -152,7 +154,7 @@ def bfs_zone(parts) -> list[Perm]:
     one-generator length-increasing extensions, each candidate tested for
     being a coset representative with the recording tableau of w_J.  Z is
     prefix-closed, so the search reaches everything.  Independent of the
-    fiber walk ``rims._fiber`` behind ``rims._zone``.
+    DAG of ``rims._tableaux`` behind ``rims._zone``.
     """
     n = sum(parts)
     w_j = longest_parabolic_element(parts)
@@ -180,7 +182,7 @@ def inverse_insertion_zone(parts) -> list[Perm]:
     Z for the composition, sorted, as w_J * rsk_inverse(P, Q(w_J)) for P
     running over the standard tableaux of shape λ' from
     ``standard_tableaux``: the validated primitives one call per element,
-    the reference for the fiber walk ``rims._fiber`` behind ``rims._zone``.
+    the reference for the DAG of ``rims._tableaux`` behind ``rims._zone``.
     """
     w_j = longest_parabolic_element(parts)
     q_ref = rsk(w_j)[1]
@@ -200,9 +202,11 @@ def row_scanning_walk(parts):
     the remaining shape for a corner, a row longer than the row below it,
     and reverse-bumps from each corner in row order.  ``walk(place)`` calls
     ``place(s, x, i, filled)`` at every step, in the order ``_fiber``'s
-    walk makes its steps, the last three handed to its leaf included; the
-    reference for ``_fiber``'s tableau read off the blocks and for its last
-    three steps read off the values left.
+    walk makes its steps, the last three handed to its leaf included, with
+    the bits of the positions written before step s; the reference for
+    ``_fiber``'s tableau read off the blocks and for its last three steps
+    read off the values left, and for the edges and leaves of the DAG of
+    ``rims._tableaux``.
     """
     w_j = longest_parabolic_element(parts)
     rows = [[x - 1 for x in row] for row in rsk(w_j)[1]]
@@ -241,7 +245,7 @@ def full_zone_rim(parts) -> RimResult:
     the result holds their diagrams.  The reference for the pruned search
     in ``rim_search``, which never holds Z.
     """
-    zone = [decode(record, sum(parts))[1] for record in _zone(parts)]
+    zone = [decode(record, sum(parts))[1] for record in zone_records(parts)]
     zset = set(zone)
     rim = []
     for e in zone:

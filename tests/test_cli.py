@@ -51,6 +51,11 @@ CELL_14_DIGESTS = {
     "text": "f3385ae9375fd8be3b5d62d6a5178b9c418a8cdfa7f8b75ed3eb0faea064eb56",
 }
 
+# sha256 of the stdout of `klrim cell --composition 1,120,1 --max-n 122
+# --format json`: 7260 elements of n = 122, about 209 MB, each line a walk
+# of 119 steps above the last three through a tall shape
+CELL_122_DIGEST = "e5d5e9d710cdea8233c282d0b9b00221139dae4a53f6e5e67bb50f9d9a74b086"
+
 # sha256 of the stdout of `klrim rim --method search --format json` past the
 # default bound, on compositions with no closed form: rims of 21 and 107
 SEARCH_DIGESTS = {
@@ -391,6 +396,25 @@ def test_an_n14_cell_is_pinned_byte_for_byte(fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == CELL_14_DIGESTS[fmt]
 
 
+class Digest:
+    """A stdout that keeps only the sha256 of what is written and its line count."""
+
+    def __init__(self):
+        self.sha, self.lines = hashlib.sha256(), 0
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        self.lines += text.count("\n")
+
+
+def test_a_tall_n122_cell_is_pinned_byte_for_byte():
+    out = Digest()
+    argv = ["cell", "--composition", "1,120,1", "--max-n", "122", "--format", "json"]
+    assert main(argv, stdout=out) == 0
+    assert out.lines == 7260
+    assert out.sha.hexdigest() == CELL_122_DIGEST
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize(
     "composition, size, digests",
@@ -400,12 +424,12 @@ def test_an_n14_cell_is_pinned_byte_for_byte(fmt):
 def test_the_n12_and_n14_cells_are_pinned_when_written_in_bands(
     composition, size, digests, fmt, monkeypatch
 ):
-    # a budget of a quarter of the cell: a count, then at least four bands
+    # a budget of a quarter of the cell: at least four bands, a walk each
     monkeypatch.setattr(rims, "_RECORD_BUDGET", size // 4)
     walks = count_walks(monkeypatch)
     argv = ["cell", "--composition", composition, "--max-n", "14", "--format", fmt]
     code, out = run(argv)
-    assert code == 0 and out.count("\n") == size and len(walks) >= 5
+    assert code == 0 and out.count("\n") == size and len(walks) >= 4 and sum(walks) == size
     assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt]
 
 

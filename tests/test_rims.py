@@ -43,6 +43,7 @@ from klrim.rims import (
     theta_star,
     verify_theorem,
     verify_theorems,
+    _band,
     _bands,
     _cell,
     _check_record_range,
@@ -54,6 +55,7 @@ from klrim.rims import (
     _length_counts,
     _p_diagram,
     _staircase_diagrams,
+    _tableaux,
     _three_part_count,
     _three_part_diagrams,
     _zone,
@@ -74,6 +76,7 @@ from support import (
     row_scanning_walk,
     staircase_row_form,
     star_extended_staircase,
+    zone_records,
 )
 
 
@@ -174,7 +177,7 @@ def test_the_witness_rule_misses_some_recording_preserving_swaps():
 
 def zone_of(parts):
     """Z as a sorted list of row-forms."""
-    return sorted(decode(record, sum(parts))[1] for record in _zone(parts))
+    return sorted(decode(record, sum(parts))[1] for record in zone_records(parts))
 
 
 def test_zone_prefix_closed_and_rim_maximal():
@@ -223,16 +226,14 @@ def walk_trace(walk, prune):
     """
     trace = []
 
-    def place(s, x, i, filled):
-        trace.append((s, x, i, filled))
+    def place(s, x, i):
+        trace.append((s, x, i))
         return not prune(s, x, i)
 
-    def leaf(filled, x, i, y, j, z, k):
+    def leaf(x, i, y, j, z, k):
         for s, x, i, then in ((3, x, i, j), (2, y, j, k), (1, z, k, None)):
-            if i != then:
-                if not place(s, x, i, filled):
-                    return
-                filled |= 1 << i
+            if i != then and not place(s, x, i):
+                return
 
     walk(place, leaf)
     return trace
@@ -241,7 +242,7 @@ def walk_trace(walk, prune):
 def scanning(parts):
     """``row_scanning_walk``, which calls place at every step, taking a leaf it never calls."""
     walk = row_scanning_walk(parts)
-    return lambda place, leaf: walk(place)
+    return lambda place, leaf: walk(lambda s, x, i, filled: place(s, x, i))
 
 
 def test_the_corner_walk_makes_the_calls_of_the_row_scanning_walk():
@@ -278,28 +279,83 @@ def test_the_corner_walk_makes_the_calls_of_the_row_scanning_walk():
     assert cut > 200
 
 
+def dag_trace(parts):
+    """
+    Every step below the root of the DAG of ``_tableaux``, in the order of
+    a depth-first walk, as (s, x, i, c): each edge, then each leaf as its
+    steps 3, 2 and 1.  The root of a walk with n <= 2 repeats its top step
+    for each step missing above it; only the last of the repeats is kept.
+    """
+    trace = []
+
+    def visit(node, s):
+        if s > 3:
+            for x, i, c, child in node:
+                trace.append((s, x, i, c))
+                visit(child, s - 1)
+            return
+        for x, i, c, y, j, d, z, k, f in node:
+            steps = ((3, x, i, c, j), (2, y, j, d, k), (1, z, k, f, None))
+            trace.extend(step[:4] for step in steps if step[2] != step[4])
+
+    visit(_tableaux(parts), max(sum(parts), 3))
+    return trace
+
+
+def test_the_dag_walks_as_the_row_scanning_walk():
+    # each edge's code entry is made once, from the bits written above it;
+    # the oracle bumps every step and counts c_i off its own bits
+    tall = [(1, 20, 1), (30,), (2, 9, 1, 1, 1), (1, 1, 6, 1, 1)]
+    for parts in chain(*map(compositions_of, range(1, 11)), tall):
+        expected = []
+
+        def place(s, x, i, filled):
+            expected.append((s, x, i, (filled & ((1 << i) - 1)).bit_count()))
+            return True
+
+        row_scanning_walk(parts)(place)
+        assert dag_trace(parts) == expected, parts
+
+
+def test_the_dag_shares_the_tableaux_left():
+    # the 628,357 steps above the last three of this n = 16 walk reach 514
+    # tableaux below the root; a DAG that shared none would hold a node each
+    seen = set()
+
+    def gather(node, s):
+        if id(node) not in seen:
+            seen.add(id(node))
+            if s > 3:
+                for x, i, c, child in node:
+                    gather(child, s - 1)
+
+    gather(_tableaux((3, 1, 2, 4, 1, 3, 2)), 16)
+    assert len(seen) < 1000
+
+
 def test_a_walk_hands_each_element_to_one_leaf_call():
     # with n >= 3, place sees only the steps s >= 4 and leaf every element
     # once; a walk with n <= 2 still yields its one element, the identity
     for parts in [(3, 1, 2, 4, 2), (1, 1, 1), (2, 1)]:
         steps, leaves = [], []
-        _fiber(parts)(lambda s, x, i, filled: steps.append(s) or True, lambda *a: leaves.append(a))
+        _fiber(parts)(lambda s, x, i: steps.append(s) or True, lambda *a: leaves.append(a))
         assert len(leaves) == cell_size(parts), parts
         assert all(s >= 4 for s in steps), parts
     for parts in [(1,), (2,), (1, 1)]:
         assert [e for e, _ in cell_elements(parts)] == [longest_parabolic_element(parts)], parts
-        assert [decode(record, sum(parts))[:2] for record in _zone(parts)] == [
+        assert [decode(record, sum(parts))[:2] for record in zone_records(parts)] == [
             (0, tuple(range(1, sum(parts) + 1)))
         ], parts
 
 
 def test_length_counts_are_the_histogram_of_the_zone_lengths():
-    for n in range(1, 9):
-        for parts in compositions_of(n):
-            lengths = Counter(ord(record[0]) for record in _zone(parts))
-            counts = _length_counts(parts)
-            assert counts == [lengths[ell] for ell in range(len(counts))], parts
-            assert sum(counts) == cell_size(parts), parts
+    for parts in chain(*map(compositions_of, range(1, 9)), [(2, 1, 3, 1, 2, 3, 2)]):
+        n = sum(parts)
+        lengths = Counter(ord(record[0]) for record in zone_records(parts))
+        counts = _length_counts(_tableaux(parts), n)
+        assert len(counts) == comb(n, 2) + 1, parts
+        assert counts == [lengths[ell] for ell in range(len(counts))], parts
+        assert sum(counts) == cell_size(parts), parts
 
 
 def composition_from_cuts(n, cuts):
@@ -338,7 +394,7 @@ def test_zone_records_length_cell_element_and_word():
             w_j = longest_parabolic_element(parts)
             head, texts = _cell(parts, 10)
             assert tuple(map(ord, head)) == restart_reduced_word(w_j)
-            records = sorted(_zone(parts))
+            records = sorted(zone_records(parts))
             assert list(texts) == [record[n + 1 :] for record in records]
             for ell, e, w, word in (decode(record, n) for record in records):
                 assert ell == length(e)
@@ -648,7 +704,7 @@ def test_the_fiber_walk_keeps_no_state_per_shape():
         walk = _fiber(parts)
         tracemalloc.start()
         try:
-            walk(lambda s, x, i, filled: True, lambda filled, x, i, y, j, z, k: None)
+            walk(lambda s, x, i: True, lambda x, i, y, j, z, k: None)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -662,7 +718,7 @@ def test_zone_holds_one_short_string_per_element():
     parts = (2, 1, 3, 1, 2, 3, 2)
     tracemalloc.start()
     try:
-        zone = _zone(parts)
+        zone = zone_records(parts)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -673,15 +729,18 @@ def test_zone_holds_one_short_string_per_element():
 def test_a_one_element_cell_at_n_900_peaks_no_higher_than_with_tuple_records():
     # w_J's word has 404,550 generators.  Read as tuples of runs, a flat
     # tuple and the line, each its own ints, it peaked at 13.6 MB; read as
-    # one text of characters, with one shared int per generator, the line's
-    # tuple of 8-byte slots is most of the peak, about 7.6 MB
+    # one text of characters, with one shared int per generator, at 8.0 MB,
+    # the bump tables of the 900-row column, each row with the rows above
+    # it twice over, being the largest part.  The DAG holds a key of two
+    # bytes a box per tableau, about 1.6 MB here, and peaks at about 4.5 MB;
+    # keys of nested tuples would hold a tuple per row per tableau
     tracemalloc.start()
     try:
         assert len(list(cell_elements((900,), 2000))) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10_000_000
+    assert peak < 8_000_000
 
 
 # sha256 of the repr of list(cell_elements((2, 1, 3, 1, 2, 3, 2), 14)),
@@ -697,11 +756,11 @@ def test_cell_elements_at_n_14_are_pinned():
 
 
 def test_cell_elements_at_n_14_are_pinned_when_read_in_bands(monkeypatch):
-    # a budget of a quarter of the cell: a count, then at least four bands
+    # a budget of a quarter of the cell: at least four bands, a walk each
     monkeypatch.setattr(rims, "_RECORD_BUDGET", 14014 // 4)
     walks = count_walks(monkeypatch)
     elements = list(cell_elements((2, 1, 3, 1, 2, 3, 2), 14))
-    assert len(walks) >= 5
+    assert len(walks) >= 4 and sum(walks) == 14014
     digest = hashlib.sha256(repr(elements).encode()).hexdigest()
     assert digest == CELL_ELEMENTS_14_DIGEST
 
@@ -711,11 +770,13 @@ def test_a_band_walk_keeps_exactly_the_elements_of_its_lengths():
     # by one drops elements or keeps some outside the band
     for n in range(1, 8):
         for parts in compositions_of(n):
-            full = sorted(_zone(parts))
+            root = _tableaux(parts)
+            _length_counts(root, n)  # sets the bounds the cuts read
+            full = sorted(_zone(root, n))
             top = max(ord(record[0]) for record in full)
             for lo in range(top + 2):
                 for hi in (lo, lo + 2):
-                    band = sorted(_zone(parts, band=(lo, hi)))
+                    band = sorted(_zone(_band(root, n, lo, hi), n))
                     assert band == [r for r in full if lo <= ord(r[0]) <= hi], (parts, lo, hi)
 
 
@@ -730,11 +791,13 @@ def test_a_cell_within_the_budget_is_one_walk(monkeypatch):
     walks = count_walks(monkeypatch)
     parts = (2, 1, 3, 1, 2, 3, 2)
     assert len(list(cell_elements(parts, 14))) == 14014
-    assert walks == [parts]
+    assert walks == [14014]
     monkeypatch.setattr(rims, "_RECORD_BUDGET", 14013)
     walks.clear()
     assert len(list(cell_elements(parts, 14))) == 14014
-    assert len(walks) == 1 + len(_bands(_length_counts(parts), 14013)) == 3
+    # the lengths are counted off the DAG, with no walk
+    assert len(walks) == len(_bands(_length_counts(_tableaux(parts), 14), 14013)) == 2
+    assert sum(walks) == 14014
 
 
 def test_the_peak_of_a_cell_follows_the_budget_not_the_cell(monkeypatch):
