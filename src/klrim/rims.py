@@ -35,19 +35,20 @@ the last three steps of each element, keeps nothing per shape, and reads
 the last three steps off the values left; its live rows are what an
 in-walk probe would read.
 
-The cell's walk records every element as one str: the key, l(e) and
-e with one character per entry, so the records sort as (l(e), e) by plain
+The cell's walk records every element as one str: the key, l(e) and e
+with one character per entry, so the records sort as (l(e), e) by plain
 string comparison; then the text of the values of w_J e and of the
-lex-least reduced word of e, each step writing the text of its value and
-of its run of generators.  ``_cell`` hands each record out cut after its
-key, so its readers see only the values, a mark where w_J's word goes,
-and the word of e: ``klrim cell`` spells the numbers in decimal and puts
-in the word, ``cell_elements`` spells them as one character each and
-splits at the mark.  A cell past a record budget is walked once per
-band of lengths, each walk over a cut of the DAG that keeps only the
-edges with an element in its band; the lengths are counted off the DAG
-with no walk, so the records held stay within about the budget, however
-large the cell, for no walk more than the bands.
+lex-least reduced word of e.  Each DAG edge holds the slots its step
+writes and the text of its run of generators, so a step only stores.
+``_cell`` hands each record out cut after its key, so its readers see
+only the values, a mark where w_J's word goes, and the word of e:
+``klrim cell`` spells the numbers in decimal and puts in the word,
+``cell_elements`` spells them as one character each and splits at the
+mark.  A cell past a record budget is walked once per band of lengths,
+each walk over a cut of the DAG that keeps only the edges with an
+element in its band; the lengths are counted off the DAG with no walk,
+so the records held stay within about the budget, however large the
+cell, for no walk more than the bands.
 
 ``rim_search`` cuts every subtree whose elements a dual Knuth move shows
 to have an extension inside Z, and tests the leaves that survive exactly,
@@ -64,7 +65,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, combinations
-from math import comb, factorial, isqrt, prod
+from math import comb, factorial, prod
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -98,9 +99,9 @@ _MAX_RECORD_N = 1492  # see _check_record_range
 # more: an n = 18 record of JSON text takes about 270 B, so 450,000 of them
 # about 120 MB.  A cell just past the budget is two band walks where one
 # walk would do: `klrim cell` on the 500,500 elements of (1,2,4,2,3,4)
-# took 1.85-2.5 s, against 1.4-2.0 s for the 416,988 of (3,1,2,4,1,3,2)
-# in one walk (2 cores, JSON to a pipe, on a host where these took
-# 3.6-5.7 and 1.9-3.0 s with a counting walk and no DAG)
+# took 0.97-1.08 s, against 0.75-0.77 s for the 416,988 of (3,1,2,4,1,3,2)
+# in one walk (2 cores, JSON to a pipe; 1.15-1.22 and 0.87-0.94 s when a
+# step made its slots and run)
 _RECORD_BUDGET = 450_000
 
 THEOREMS = ("T2.16a", "T3.5a", "T3.7a", "T3.15a", "C3.16a", "P3.2a")
@@ -309,10 +310,10 @@ _MARK = "\x00"
 @dataclass(frozen=True)
 class _Spelling:
     """
-    How ``_zone`` and ``_cell`` spell numbers: k is ``number(k)``, each value
-    of w_J e opens with ``value_sep`` and each generator of a word with
-    ``word_sep``.  The default spells every number as one
-    character with no separators, the records ``cell_elements`` reads.
+    How ``_tableaux``, ``_zone`` and ``_cell`` spell numbers: k is
+    ``number(k)``, each value of w_J e opens with ``value_sep`` and each
+    generator of a word with ``word_sep``.  The default spells every number
+    as one character with no separators, the records ``cell_elements`` reads.
     """
 
     number: Callable[[int], str] = chr
@@ -327,11 +328,13 @@ class _Spelling:
 class _Node(list):
     """
     One tableau left in the rows of the fiber walk, as the steps below it,
-    each made once.  With s >= 4 boxes, an edge (x, i, c, child) per corner
-    in the order of ``_fiber``'s scan: the step s ejects the value x,
-    writes the position i, and its code entry is c = c_i; ``child`` is the
-    tableau left after it.  With 3 boxes, a leaf (x, i, c, y, j, d, z, k, f)
-    per element below: the steps 3, 2 and 1, in that order.
+    each made once.  With s >= 4 boxes, an edge (1 + i, n + 1 + x,
+    2n + 2 + i, run, c, child) per corner in the order of ``_fiber``'s
+    scan: the step s ejects the value x and writes the position i, whose
+    code entry is c = c_i, into those slots of a ``_zone`` record, the last
+    with ``run``, the text of its run; ``child`` is the tableau left.  With
+    3 boxes, a leaf per element below: the slots and runs of the steps 3,
+    2 and 1, then the sum of their code entries.
     ``_length_counts`` sets ``least`` and ``most``, the least and the
     largest sum of the code entries from the node's step down.
     """
@@ -339,15 +342,15 @@ class _Node(list):
     __slots__ = ("least", "most")
 
 
-def _tableaux(parts: Composition) -> _Node:
+def _tableaux(parts: Composition, spelling: _Spelling = _Spelling()) -> _Node:
     """
     The walk of ``_fiber`` as a DAG of the tableaux left in its rows: the
     root is Q(w_J), and a node is built on its first entry, by the bumps of
     ``_fiber``, and shared by every later one.  Below a step, the walk
     depends on the tableau left alone: the positions written are those of
-    the values ejected, so each code entry below is read off it too.  The
-    628,357 steps above the last three of the cell of (3,1,2,4,1,3,2),
-    n = 16, reach 514 tableaux.
+    the values ejected, so each code entry and its run, as ``spelling``
+    spells it, are read off it too.  The 628,357 steps above the last three
+    of the cell of (3,1,2,4,1,3,2), n = 16, reach 514 tableaux.
 
     A tableau's key is one bytes, two per box of Q(w_J): each row keeps a
     view of its slots, which every bump and undo writes as it writes the
@@ -368,20 +371,25 @@ def _tableaux(parts: Composition) -> _Node:
     boxes = array("H", chain.from_iterable(rows))
     ends = accumulate(map(len, rows))
     views = [memoryview(boxes)[end - len(row):end] for row, end in zip(rows, ends)]
-    # each row, the row below it, its view and its index, made once:
-    # enumerate would make an int per row of a tall shape at every step
-    table = list(zip(rows, rows[1:] + [[]], views, range(len(rows))))
+    # each row, the row below it, its view, and where its rows above start in
+    # rising and pairs, made once: enumerate would make an int per row of a
+    # tall shape per step
+    pairs = list(zip(rows, views))
+    rising = pairs[::-1]
+    table = list(zip(rows, rows[1:] + [[]], views, range(len(rows), 0, -1), range(len(rows))))
     slot = [x - 1 for x in longest_parabolic_element(parts)]
     left = [(1 << i) - 1 for i in range(n)]
+    runs: dict[int, str] = {}  # the run of c_i = c, under n * i + c
+    v, w = n + 1, 2 * n + 2
     built: dict[bytes, list] = {}
 
     def expand(s: int, filled: int) -> list:
         edges = []
-        for row, lower, view, r in table:
+        for row, lower, view, t, r in table:
             if len(row) > len(lower):
                 x = row.pop()
                 view[len(row)] = n
-                for up, mirror in zip(reversed(rows[:r]), reversed(views[:r])):
+                for up, mirror in rising[t:]:
                     j = bisect_left(up, x) - 1
                     up[j], x = x, up[j]
                     mirror[j] = up[j]
@@ -390,8 +398,12 @@ def _tableaux(parts: Composition) -> _Node:
                 child = built.get(key)
                 if child is None:
                     child = built[key] = expand(s - 1, filled | 1 << i)
-                edges.append((x, i, (filled & left[i]).bit_count(), child))
-                for up, mirror in zip(rows[:r], views[:r]):
+                c = (filled & left[i]).bit_count()
+                run = runs.get(n * i + c)
+                if run is None:
+                    run = runs[n * i + c] = spelling.run(range(i, i - c, -1))
+                edges.append((1 + i, v + x, w + i, run, c, child))
+                for up, mirror in pairs[:r]:
                     j = bisect_left(up, x)
                     up[j], x = x, up[j]
                     mirror[j] = up[j]
@@ -410,70 +422,66 @@ def _tableaux(parts: Composition) -> _Node:
     finally:
         del expand  # its closure holds it, and the keys, until a cyclic collection
     if n < 3:
-        return _Node(path[:3] * (3 - n) + path for path in _paths(root))
+        return _Node(path[:4] * (3 - n) + path for path in _paths(root))
     return root
 
 
-def _paths(edges: list) -> list[tuple[int, ...]]:
-    """Every path of steps (x, i, c) below a tableau of 3 boxes or fewer, flattened."""
+def _paths(edges: list, above: int = 0) -> list[tuple]:
+    """Each path below a tableau of 3 boxes or fewer: slots and runs, then ``above`` + its c."""
     if not edges:
-        return [()]
-    return [(x, i, c) + rest for x, i, c, child in edges for rest in _paths(child)]
+        return [(above,)]
+    return [step[:4] + path for step in edges for path in _paths(step[5], above + step[4])]
 
 
 def _zone(root: _Node, n: int, spelling: _Spelling = _Spelling()) -> list[str]:
     """
-    Every element e below ``root``, a DAG of ``_tableaux`` or a band of one
-    from ``_band``, in walk order, as one str record: the key, chr(l(e))
-    and then e with one character chr(s) per entry s, so the records
-    compare as (l(e), e); then the text of the values of w_J e, ``_MARK``,
-    and the text of the word of e, each generator after its separator, as
-    ``spelling`` spells them.  The walk writes the entries of e largest
-    first, so the code entry c_i = #{j < i : e_j > e_i} counts the
-    positions left of i already written when i is; l(e) is their sum, and
-    the lex-least reduced word of e, the one ``reduced_word`` returns, is
-    the concatenation of the runs (i, i-1, ..., i-c_i+1) over the positions
-    i counted from 0.  Each step writes the text of its value, and of its
-    run from a ``_Runs`` table that makes each run once per call, into the
-    record's slots, and each leaf writes the last three and joins the
-    record.  Every value opens with its separator, the first one too, which
-    ``_cell`` cuts off with the key.
+    Every element e below ``root``, a DAG of ``_tableaux`` built with
+    ``spelling`` or a band of one from ``_band``, in walk order, as one str
+    record: the key, chr(l(e)) and then e with one character chr(s) per
+    entry s, so the records compare as (l(e), e); then the text of the
+    values of w_J e, ``_MARK``, and the text of the word of e, each
+    generator after its separator, as ``spelling`` spells them.  The walk
+    writes the entries of e largest first, so the code entry c_i = #{j < i
+    : e_j > e_i} counts the positions left of i already written when i is;
+    l(e) is their sum, and the lex-least reduced word of e, the one
+    ``reduced_word`` returns, is the concatenation of the runs (i, i-1,
+    ..., i-c_i+1) over the positions i counted from 0.  A step stores
+    chr(s), the text of s and its run in its edge's slots, and a leaf
+    stores its three steps and joins the record.  Every value opens with
+    its separator, the first one too, which ``_cell`` cuts off with the key.
     """
-    off = [i * (i + 1) // 2 for i in range(n)]
     entry = [chr(s) for s in range(max(n, 3) + 1)]
     values = [spelling.value_sep + spelling.number(s) for s in range(max(n, 3) + 1)]
-    runs = _Runs(spelling.run)
-    # record[e + i] = e_i, record[v + x] = the text of v_x, record[w + i] = the run of i
-    e, v, w = 1, n + 1, 2 * n + 2
+    # record[1 + i] = e_i, record[n + 1 + x] = v_x, record[2n + 2 + i] = the run of i
     record = [""] * (3 * n + 2)
-    record[w - 1] = _MARK
+    record[2 * n + 1] = _MARK
     zone = []
     e3, e2, e1 = entry[3], entry[2], entry[1]
     v3, v2, v1 = values[3], values[2], values[1]
 
     def visit(node: _Node, s: int, above: int) -> None:
         es, vs = entry[s], values[s]
-        for x, i, c, child in node:
-            record[e + i] = es
-            record[v + x] = vs
-            record[w + i] = runs[off[i] + c]
+        for ei, vx, wi, run, c, child in node:
+            record[ei] = es
+            record[vx] = vs
+            record[wi] = run
             if s > 4:
                 visit(child, s - 1, above + c)
             else:
                 leaves(child, above + c)
 
     def leaves(node: _Node, above: int) -> None:
-        for x, i, c, y, j, d, z, k, f in node:
-            record[e + i] = e3
-            record[v + x] = v3
-            record[w + i] = runs[off[i] + c]
-            record[e + j] = e2
-            record[v + y] = v2
-            record[w + j] = runs[off[j] + d]
-            record[e + k] = e1
-            record[v + z] = v1
-            record[w + k] = runs[off[k] + f]
-            record[0] = chr(above + c + d + f)
+        for ei, vx, wi, ri, ej, vy, wj, rj, ek, vz, wk, rk, total in node:
+            record[ei] = e3
+            record[vx] = v3
+            record[wi] = ri
+            record[ej] = e2
+            record[vy] = v2
+            record[wj] = rj
+            record[ek] = e1
+            record[vz] = v1
+            record[wk] = rk
+            record[0] = chr(above + total)
             zone.append("".join(record))
 
     if n > 3:
@@ -488,11 +496,11 @@ def _band(root: _Node, n: int, lo: int, hi: int) -> _Node:
     """
     The DAG below ``root`` cut to the elements e with lo <= l(e) <= hi,
     after ``_length_counts`` has set the nodes' bounds.  A node reached
-    with code entries summing to ``above`` keeps an edge (x, i, c, child)
-    when above + c plus the child's least or largest sum meets the band,
-    and then only if the child's cut keeps something; a 3-box node keeps
-    the leaves whose lengths lie in the band.  Each pair of a node and a
-    sum above it is cut once.
+    with code entries summing to ``above`` keeps an edge with code entry c
+    whole when above + c plus the child's least and largest sums lie in
+    the band, and over the child's cut when they meet it and the cut keeps
+    something; a 3-box node keeps the leaves whose lengths lie in the
+    band.  Each pair of a node and a sum above it is cut once.
     """
     cuts: dict[tuple[int, int], _Node] = {}
 
@@ -502,16 +510,17 @@ def _band(root: _Node, n: int, lo: int, hi: int) -> _Node:
         if kept is None:
             kept = cuts[key] = _Node()
             if s > 3:
-                for x, i, c, child in node:
+                for edge in node:
+                    ei, vx, wi, run, c, child = edge
                     at = above + c
-                    if at + child.least <= hi and lo <= at + child.most:
+                    if lo <= at + child.least and at + child.most <= hi:
+                        kept.append(edge)
+                    elif at + child.least <= hi and lo <= at + child.most:
                         below = cut(child, s - 1, at)
                         if below:
-                            kept.append((x, i, c, below))
+                            kept.append((ei, vx, wi, run, c, below))
             else:
-                kept.extend(
-                    leaf for leaf in node if lo <= above + leaf[2] + leaf[5] + leaf[8] <= hi
-                )
+                kept.extend(leaf for leaf in node if lo <= above + leaf[-1] <= hi)
         return kept
 
     band = cut(root, max(n, 3), 0)
@@ -519,30 +528,14 @@ def _band(root: _Node, n: int, lo: int, hi: int) -> _Node:
     return band
 
 
-class _Runs(dict):
-    """
-    The text ``render`` makes of the run (i, i-1, ..., i-c+1), under the key
-    i(i+1)/2 + c, made on the key's first lookup, so only the runs of code
-    entries that occur are made.
-    """
-
-    def __init__(self, render: Callable[[range], str]) -> None:
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key: int) -> str:
-        i = (isqrt(8 * key + 1) - 1) // 2
-        run = self[key] = self.render(range(i, i - (key - i * (i + 1) // 2), -1))
-        return run
-
-
 def _length_counts(root: _Node, n: int) -> list[int]:
     """
     How many elements e of Z have each length l(e) = 0, 1, ..., n(n-1)/2,
     by dynamic programming over the DAG of ``_tableaux``, with no walk: the
     sums of the code entries below a node are those below each child,
-    moved up by the code entry of the edge.  Each node is counted once and
-    gets its ``least`` and ``most`` sum, the bounds ``_band`` cuts by.
+    moved up by the edge's code entry, or the leaves' own.  Each node is
+    counted once and gets its ``least`` and ``most`` sum, the bounds
+    ``_band`` cuts by.
     """
     counted: dict[int, list[int]] = {}
 
@@ -552,14 +545,13 @@ def _length_counts(root: _Node, n: int) -> list[int]:
         if sums is None:
             sums = counted[id(node)] = []
             if s > 3:
-                for x, i, c, child in node:
+                for *_, c, child in node:
                     below = count(child, s - 1)
                     sums.extend([0] * (c + len(below) - len(sums)))
                     for m, k in enumerate(below, c):
                         sums[m] += k
             else:
-                for leaf in node:
-                    m = leaf[2] + leaf[5] + leaf[8]
+                for *_, m in node:
                     sums.extend([0] * (m + 1 - len(sums)))
                     sums[m] += 1
             node.least = next(m for m, k in enumerate(sums) if k)
@@ -621,7 +613,7 @@ def _cell(
         spelling.run(range(i, a, -1)) for a, p in zip(starts, parts) for i in range(a + 1, a + p)
     )[len(word_sep):]
     cut = itemgetter(slice(n + 1 + len(value_sep), None))
-    root = _tableaux(parts)
+    root = _tableaux(parts, spelling)
     if cell_size(parts) <= _RECORD_BUDGET:
         zone = _zone(root, n, spelling)
         zone.sort()  # by (l(e), e); e never repeats, so nothing further is compared

@@ -54,6 +54,7 @@ from klrim.rims import (
     _keeps_recording,
     _length_counts,
     _p_diagram,
+    _Spelling,
     _staircase_diagrams,
     _tableaux,
     _three_part_count,
@@ -279,27 +280,49 @@ def test_the_corner_walk_makes_the_calls_of_the_row_scanning_walk():
     assert cut > 200
 
 
+def dag_walk(parts, spelling=_Spelling()):
+    """
+    Every step below the root of the DAG of ``_tableaux`` built with
+    ``spelling``, in the order of a depth-first walk, as (s, x, i, j, c),
+    with x, i and j read off the slots of its value, its entry and its
+    run: each edge, then each leaf as its steps 3, 2 and 1, whose c is
+    None, since a leaf holds only their sum; the texts of their runs; and
+    the sums of the leaves, in walk order.  The root of a walk with n <= 2
+    repeats its top step for each step missing above it; only the last of
+    the repeats is kept.
+    """
+    n = sum(parts)
+    v, w = n + 1, 2 * n + 2
+    steps, runs, sums = [], [], []
+
+    def visit(node, s):
+        if s > 3:
+            for ei, vx, wi, run, c, child in node:
+                steps.append((s, vx - v, ei - 1, wi - w, c))
+                runs.append(run)
+                visit(child, s - 1)
+            return
+        for ei, vx, wi, ri, ej, vy, wj, rj, ek, vz, wk, rk, total in node:
+            steps.append((3, vx - v, ei - 1, wi - w, None))
+            steps.append((2, vy - v, ej - 1, wj - w, None))
+            steps.append((1, vz - v, ek - 1, wk - w, None))
+            runs.extend((ri, rj, rk))
+            sums.append(total)
+
+    visit(_tableaux(parts, spelling), max(n, 3))
+    del steps[: max(3 - n, 0)], runs[: max(3 - n, 0)]
+    return steps, runs, sums
+
+
 def dag_trace(parts):
     """
     Every step below the root of the DAG of ``_tableaux``, in the order of
     a depth-first walk, as (s, x, i, c): each edge, then each leaf as its
-    steps 3, 2 and 1.  The root of a walk with n <= 2 repeats its top step
-    for each step missing above it; only the last of the repeats is kept.
+    steps 3, 2 and 1.  The default spelling writes each generator as one
+    character, so a leaf step's c is the length of its run.
     """
-    trace = []
-
-    def visit(node, s):
-        if s > 3:
-            for x, i, c, child in node:
-                trace.append((s, x, i, c))
-                visit(child, s - 1)
-            return
-        for x, i, c, y, j, d, z, k, f in node:
-            steps = ((3, x, i, c, j), (2, y, j, d, k), (1, z, k, f, None))
-            trace.extend(step[:4] for step in steps if step[2] != step[4])
-
-    visit(_tableaux(parts), max(sum(parts), 3))
-    return trace
+    steps, runs, _ = dag_walk(parts)
+    return [(s, x, i, len(run) if c is None else c) for (s, x, i, _, c), run in zip(steps, runs)]
 
 
 def test_the_dag_walks_as_the_row_scanning_walk():
@@ -317,6 +340,36 @@ def test_the_dag_walks_as_the_row_scanning_walk():
         assert dag_trace(parts) == expected, parts
 
 
+def test_the_dag_spells_each_run_as_the_row_scanning_walk_counts_it():
+    # each edge and leaf step holds its slots and the text of its run,
+    # spelled once at the build, in the default spelling and in the two of
+    # klrim cell; the oracle bumps every step and counts c_i off its own
+    # bits, and a leaf's sum is the code entries of its steps 3, 2 and 1
+    tall = [(1, 20, 1), (30,), (2, 9, 1, 1, 1), (1, 1, 6, 1, 1)]
+    spellings = [_Spelling(), _Spelling(str, ", ", ", "), _Spelling(str, ", ", " ")]
+    for parts in chain(*map(compositions_of, range(1, 11)), tall):
+        positions, runs, sums = [], [], []
+        top = min(sum(parts), 3)
+
+        def place(s, x, i, filled):
+            c = (filled & ((1 << i) - 1)).bit_count()
+            positions.append((s, x, i, i))
+            runs.append((i, c))
+            if s == top:
+                sums.append(0)
+            if s <= 3:
+                sums[-1] += c
+            return True
+
+        row_scanning_walk(parts)(place)
+        for spelling in spellings:
+            texts = {(i, c): spelling.run(range(i, i - c, -1)) for i, c in set(runs)}
+            steps, dag_runs, dag_sums = dag_walk(parts, spelling)
+            assert [step[:4] for step in steps] == positions, (parts, spelling)
+            assert dag_runs == [texts[run] for run in runs], (parts, spelling)
+            assert dag_sums == sums, (parts, spelling)
+
+
 def test_the_dag_shares_the_tableaux_left():
     # the 628,357 steps above the last three of this n = 16 walk reach 514
     # tableaux below the root; a DAG that shared none would hold a node each
@@ -326,7 +379,7 @@ def test_the_dag_shares_the_tableaux_left():
         if id(node) not in seen:
             seen.add(id(node))
             if s > 3:
-                for x, i, c, child in node:
+                for *_, child in node:
                     gather(child, s - 1)
 
     gather(_tableaux((3, 1, 2, 4, 1, 3, 2)), 16)
