@@ -19,9 +19,8 @@ flags are read off them.  Each closed family is built once, as written; the
 rim of a reversed member is the half-turn of the reverse's rim.
 
 Both searches walk the Robinson-Schensted fiber {v : Q(v) = Q(w_J)} =
-w_J Z by reverse-bumping Q(w_J), which is read off the blocks of the
-composition with no insertion: its row r holds the (r+1)-th position of
-every block longer than r.  The walk below a step depends on the tableau
+w_J Z by reverse-bumping Q(w_J), whose rows ``_q_rows`` reads off the
+blocks of the composition.  The walk below a step depends on the tableau
 left alone, and the two searches revisit tableaux at very different
 rates, so they walk two ways.  A cell revisits a few tableaux very often:
 the 628,357 steps above the last three of the cell of (3,1,2,4,1,3,2)
@@ -29,11 +28,9 @@ reach 514 tableaux.  So ``_tableaux`` builds the walk once per cell as a
 DAG of the tableaux left, each bumped once, and the cell walks the DAG,
 with every code entry made once per edge.  ``rim_search`` cuts its walks
 early and visits most tableaux once or twice: ``verify all --max-n 8``
-makes 9,108 steps above the last three over 4,215 tableaux.  It keeps
-the bump walk ``_fiber``, which hands a pair of callbacks each step and
-the last three steps of each element, keeps nothing per shape, and reads
-the last three steps off the values left; its live rows are what an
-in-walk probe would read.
+makes 16,743 steps over 5,724 tableaux.  It keeps the bump walk
+``_fiber``, which calls one callback at every step and keeps nothing per
+shape; its live rows are what an in-walk probe would read.
 
 The cell's walk records every element as one str: the key, l(e) and e
 with one character per entry, so the records sort as (l(e), e) by plain
@@ -106,10 +103,8 @@ _RECORD_BUDGET = 450_000
 
 THEOREMS = ("T2.16a", "T3.5a", "T3.7a", "T3.15a", "C3.16a", "P3.2a")
 
-# place(s, x, i) -> whether the walk goes below step s >= 4; see _fiber
+# place(s, x, i) -> whether the walk goes below step s; see _fiber
 Place = Callable[[int, int, int], bool]
-# leaf(x, i, y, j, z, k): the steps 3, 2 and 1 of one element; see _fiber
-Leaf = Callable[[int, int, int, int, int, int], None]
 
 
 class SearchBoundExceeded(ValueError):
@@ -171,109 +166,77 @@ def _too_deep(n: int) -> SearchBoundExceeded:
     )
 
 
-def _fiber(parts: Composition) -> Callable[[Place, Leaf], None]:
+def _q_rows(parts: Composition) -> tuple[list[list[int]], list[int]]:
     """
-    A depth-first walk of the Robinson-Schensted fiber {v : Q(v) = Q(w_J)},
-    the elements w_J e for e in Z: ``walk(place, leaf)`` calls
-    ``place(s, x, i)`` after each ejection at a step s >= 4, and hands each
-    element's last three ejections, at the steps 3, 2 and 1, to one call
-    ``leaf(x, i, y, j, z, k)``.  ``rim_search``, its one caller, checks the
-    bound on n before it asks for the walk.  The walk recurses once per
-    step above the last three; one that runs into Python's recursion limit
-    is refused with SearchBoundExceeded, before its caller has written
-    anything.
-
-    The fiber holds the inverses of {u : P(u) = Q(w_J)} (Schützenberger's
-    symmetry P(v^-1) = Q(v)), so the walk reverse-bumps the fixed tableau
-    Q(w_J), written with the values 0..n-1: at step s = n, ..., 1 it pops a
-    corner of the remaining shape, and the corners chosen run over the
-    standard tableaux of shape λ'.  Tableaux sharing their largest entries
-    share those bumps, and backtracking undoes a bump by inserting the
-    ejected value again.  The value x ejected at step s is the position of
-    s in v = w_J e, and i = w_J(x+1) - 1 the position of s in e, w_J being
-    an involution.  The walk goes below step s only when ``place`` returns
-    true.  ``leaf`` gets (x, i) of step 3, (y, j) of step 2 and (z, k) of
-    step 1; it sees every element below the cuts of ``place`` once, and
-    cuts nothing.  Q(w_J) has descent set J, so every e is a minimal coset
-    representative.  ``_tableaux`` makes the same bumps once per tableau
-    left, for the cell.
-
-    Each row of Q(w_J) has a bump table: the row, the row below it, and the
-    rows above it bottom-up and top-down.  The tables hold the very lists
-    of the rows, popped, bumped and appended in place, so a step reads no
-    row by index.  A step scans the tables in row order and ejects from
-    each row longer than the row below, a corner of the remaining shape;
-    an ejection is undone before the scan moves on, so the scan sees the
-    shape it started from.
-
-    The last three steps are closed: a shape of two boxes has one corner
-    and one of three at most two, so once three boxes remain, in rows 0-2,
-    their ejections are read off the values left there, with no pop, no
-    bump and no recursion.  A row [a, b, c] ejects c, b, a; a column [a],
-    [b], [c] ejects a, b, c; and [a, b] over [c] ejects b, a, c from its
-    first corner, then b, c, a if c > b and a, b, c otherwise from its
-    second.  A walk with n <= 2 has one element, the identity, whose step
-    s writes position s - 1: its ``leaf`` gets its top step again for each
-    step missing above it, so ``rim_search``'s tables by step reach step 3
-    whatever n.
+    The rows of Q(w_J), written with the values 0..n-1, and the slot table:
+    slot[x] = w_J(x+1) - 1, the position in e of the value placed at
+    position x of v = w_J e, w_J being an involution.
 
     Q(w_J) needs no insertion: row r holds the (r+1)-th position of every
     block longer than r.  w_J lists each block in decreasing order, above
     every value before the block, so the block's (j+1)-th value bumps its
     j earlier values down one row each and lands in row j.
     """
-    n = sum(parts)
     starts = list(accumulate(parts, initial=0))
     rows = [[a + r for a, p in zip(starts, parts) if p > r] for r in range(max(parts))]
+    return rows, [x - 1 for x in longest_parabolic_element(parts)]
+
+
+def _fiber(parts: Composition) -> Callable[[Place], None]:
+    """
+    A depth-first walk of the Robinson-Schensted fiber {v : Q(v) = Q(w_J)},
+    the elements w_J e for e in Z: ``walk(place)`` calls ``place(s, x, i)``
+    after each ejection, at every step s = n, ..., 1, and goes below step s
+    only when it returns true.  ``rim_search``, its one caller, checks the
+    bound on n before it asks for the walk.  The walk recurses once per
+    step; one that runs into Python's recursion limit is refused with
+    SearchBoundExceeded, before its caller has written anything.
+
+    The fiber holds the inverses of {u : P(u) = Q(w_J)} (Schützenberger's
+    symmetry P(v^-1) = Q(v)), so the walk reverse-bumps the fixed tableau
+    Q(w_J) of ``_q_rows``: at step s = n, ..., 1 it pops a corner of the
+    remaining shape, and the corners chosen run over the standard tableaux
+    of shape λ'.  Tableaux sharing their largest entries share those bumps,
+    and backtracking undoes a bump by inserting the ejected value again.
+    The value x ejected at step s is the position of s in v = w_J e, and
+    i = slot[x] the position of s in e.  Q(w_J) has descent set J, so every
+    e is a minimal coset representative.  ``_tableaux`` makes the same
+    bumps once per tableau left, for the cell.
+
+    Each row of Q(w_J) has a bump table: the row, the row below it, and the
+    rows above it bottom-up and top-down.  The tables hold the very lists
+    of the rows, popped, bumped and appended in place, so a step reads no
+    row by index.  A step scans the tables in row order, up to the first
+    empty row, and ejects from each row longer than the row below, a
+    corner of the remaining shape; an ejection is undone before the scan
+    moves on, so the scan sees the shape it started from.
+    """
+    n = sum(parts)
+    rows, slot = _q_rows(parts)
     table = [
         (row, lower, tuple(reversed(rows[:r])), tuple(rows[:r]))
         for r, (row, lower) in enumerate(zip(rows, rows[1:] + [[]]))
     ]
-    slot = [x - 1 for x in longest_parabolic_element(parts)]
 
-    # rows 0-2 hold every box of a shape of at most three
-    top, middle, bottom = (rows + [[], []])[:3]
-
-    def walk(place: Place, leaf: Leaf) -> None:
-        if n < 3:  # e is the identity; its top step stands in for each step missing
-            leaf(slot[n - 1], n - 1, slot[n - 1], n - 1, slot[0], 0)
-            return
-
+    def walk(place: Place) -> None:
         def remove(s: int) -> None:
-            deeper = remove if s > 4 else tail
             for row, lower, rising, falling in table:
                 if len(row) > len(lower):
                     x = row.pop()
                     for up in rising:
                         j = bisect_left(up, x) - 1
                         up[j], x = x, up[j]
-                    i = slot[x]
-                    if place(s, x, i):
-                        deeper(s - 1)
+                    if place(s, x, slot[x]):
+                        remove(s - 1)
                     for up in falling:
                         j = bisect_left(up, x)
                         up[j], x = x, up[j]
                     row.append(x)
-
-        def tail(s: int) -> None:
-            # the steps 3, 2 and 1, read off the values in rows 0-2
-            if len(top) == 3:  # a row ejects from its end
-                a, b, c = top
-                leaf(c, slot[c], b, slot[b], a, slot[a])
-            elif len(top) == 1:  # a column ejects from its top
-                a, b, c = top[0], middle[0], bottom[0]
-                leaf(a, slot[a], b, slot[b], c, slot[c])
-            else:  # [a, b] over [c]: the corner of row 0, then of row 1
-                (a, b), (c,) = top, middle
-                i, j, k = slot[a], slot[b], slot[c]
-                leaf(b, j, a, i, c, k)
-                if c > b:
-                    leaf(b, j, c, k, a, i)
-                else:
-                    leaf(a, i, b, j, c, k)
+                elif not row:  # nor is any row below
+                    break
 
         try:
-            (remove if n > 3 else tail)(n)
+            remove(n)
         except RecursionError:
             raise _too_deep(n) from None
         finally:
@@ -365,8 +328,7 @@ def _tableaux(parts: Composition, spelling: _Spelling = _Spelling()) -> _Node:
     SearchBoundExceeded, before anything is walked.
     """
     n = sum(parts)
-    starts = list(accumulate(parts, initial=0))
-    rows = [[a + r for a, p in zip(starts, parts) if p > r] for r in range(max(parts))]
+    rows, slot = _q_rows(parts)
     # a slot per box of Q(w_J), holding n once the box is ejected
     boxes = array("H", chain.from_iterable(rows))
     ends = accumulate(map(len, rows))
@@ -377,7 +339,6 @@ def _tableaux(parts: Composition, spelling: _Spelling = _Spelling()) -> _Node:
     pairs = list(zip(rows, views))
     rising = pairs[::-1]
     table = list(zip(rows, rows[1:] + [[]], views, range(len(rows), 0, -1), range(len(rows))))
-    slot = [x - 1 for x in longest_parabolic_element(parts)]
     left = [(1 << i) - 1 for i in range(n)]
     runs: dict[int, str] = {}  # the run of c_i = c, under n * i + c
     v, w = n + 1, 2 * n + 2
@@ -655,21 +616,21 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     Compute the rim by search: the elements e of Z admitting no
     length-increasing generator extension e s_k inside Z.
 
-    The search walks the fiber of ``_fiber`` and never holds Z.  Right
-    multiplication by s_k swaps the values k and k+1 in e and in v = w_J e,
-    and lengthens e exactly when k stands left of k+1 in e.  When k-1 or
-    k+2 stands strictly between k and k+1 in v, that swap is a dual Knuth
-    move, which keeps the recording tableau (Knuth 1970; Haiman 1992), so
-    e s_k lies in Z.  Once step s places the value s, this test for k = s+1
-    depends only on values already placed, so it holds for every element
-    below and the subtree is cut; k = 1 is tested at the leaf.  The test is
-    sufficient but not necessary (v = (1, 4, 2, 5, 3), k = 1 keeps Q(v)
-    without a witness), so each ascent k of a surviving leaf is tested
-    exactly: Q(v s_k) == Q(w_J).  Q is fixed by the row each step's box
-    lands in, so the test inserts v s_k one step at a time and stops at the
-    first step that lands in another row than in Q(w_J); those rows are
-    read off the blocks of the composition, and no leaf builds a tableau.
-    Only the survivors are kept.
+    The search walks the fiber with ``_fiber``, its ``place`` deciding at
+    every step whether to go below, and never holds Z.  Right multiplication
+    by s_k swaps the values k and k+1 in e and in v = w_J e, and lengthens e
+    exactly when k stands left of k+1 in e.  When k-1 or k+2 stands strictly
+    between k and k+1 in v, that swap is a dual Knuth move, which keeps the
+    recording tableau (Knuth 1970; Haiman 1992), so e s_k lies in Z.  Once
+    step s places the value s, this test for k = s+1 depends only on values
+    already placed, so it holds for every element below and the subtree is
+    cut; k = 1 is tested at step 1, the leaf.  The test is sufficient but
+    not necessary (v = (1, 4, 2, 5, 3), k = 1 keeps Q(v) without a witness),
+    so each ascent k of a surviving leaf is tested exactly: Q(v s_k) ==
+    Q(w_J).  Q is fixed by the row each step's box lands in, so the test
+    inserts v s_k one step at a time and stops at the first step that lands
+    in another row than in Q(w_J); those rows are read off the blocks of the
+    composition, and no leaf builds a tableau.  Only the survivors are kept.
 
     >>> rim_search((2, 1)).rim
     ((1, 3, 2),)
@@ -681,16 +642,12 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
     walk = _fiber(parts)
     # the rows of Q(w_J) by step: the j-th position of a block lands in row j
     landing = [r for p in parts for r in range(p)]
-    # where the values stand in v and in e.  0 and n+1 stand nowhere, or n+1
-    # where n does, so they are never strictly between two positions: the
-    # leaf places 3, 2 and 1 even when n < 3, each value missing where the
-    # next one stands (see _fiber)
-    steps = max(n, 3)
-    in_v, in_e = [-1] * (steps + 2), [-1] * (steps + 2)
+    # where the values stand in v and in e; 0 and n+1 stand nowhere
+    in_v, in_e = [-1] * (n + 2), [-1] * (n + 2)
     e, v = [0] * n, [0] * n
-    # the k tested for a witness once step s has placed s: s+1, and at the
-    # leaf s = 1 also k = 1
-    witnessed = [(), (2, 1)] + [(s + 1,) for s in range(2, steps + 1)]
+    # the k tested for a witness once step s has placed s: s+1, and at s = 1
+    # also k = 1
+    witnessed = [(), (2, 1)] + [(s + 1,) for s in range(2, n + 1)]
     rim = []
 
     def place(s: int, x: int, i: int) -> bool:
@@ -715,11 +672,7 @@ def rim_search(parts: Iterable[int], bound: int | None = None) -> RimResult:
         rim.append(tuple(e))
         return False
 
-    def leaf(x: int, i: int, y: int, j: int, z: int, k: int) -> None:
-        if place(3, x, i) and place(2, y, j):
-            place(1, z, k)
-
-    walk(place, leaf)
+    walk(place)
     return RimResult(parts, (_diagram_from_element(y, parts) for y in rim))
 
 

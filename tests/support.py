@@ -202,11 +202,10 @@ def row_scanning_walk(parts):
     the remaining shape for a corner, a row longer than the row below it,
     and reverse-bumps from each corner in row order.  ``walk(place)`` calls
     ``place(s, x, i, filled)`` at every step, in the order ``_fiber``'s
-    walk makes its steps, the last three handed to its leaf included, with
-    the bits of the positions written before step s; the reference for
-    ``_fiber``'s tableau read off the blocks and for its last three steps
-    read off the values left, and for the edges and leaves of the DAG of
-    ``rims._tableaux``.
+    walk makes its steps, with the bits of the positions written before
+    step s; the reference for the tableau ``rims._q_rows`` reads off the
+    blocks, for ``_fiber``'s walk of it, and for the edges and leaves of
+    the DAG of ``rims._tableaux``.
     """
     w_j = longest_parabolic_element(parts)
     rows = [[x - 1 for x in row] for row in rsk(w_j)[1]]

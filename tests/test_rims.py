@@ -107,6 +107,15 @@ def test_pruned_rim_search_matches_the_full_zone_filter():
             assert rim_search(parts) == full_zone_rim(parts), parts
 
 
+def test_the_search_of_a_tall_shape_matches_its_closed_form():
+    # Q(w_J) of (1, 40, 1) has 40 rows, 39 of them one box wide, and each
+    # step's scan stops at the first empty row
+    for parts, size in [((1, 40, 1), 40), ((2, 30, 1), 29)]:
+        result = rim_search(parts, sum(parts))
+        assert result == rim_closed_form(parts), parts
+        assert result.rim_size == size, parts
+
+
 def test_rim_search_past_the_default_bound_is_pinned():
     # sha256 of the rim, its diagrams and flags as the full-Z filter gives
     # them from 416,988 elements of Z; the pruned search visits 3351 leaves
@@ -220,10 +229,7 @@ def test_zone_matches_inverse_insertion_of_every_tableau():
 def walk_trace(walk, prune):
     """
     Every step the walk makes, as a call to place, which cuts below (s, x,
-    i) when ``prune`` says so.  A walk of ``_fiber`` hands the steps 3, 2
-    and 1 to its leaf, which replays them through place in that order, with
-    the same cuts; a walk with n <= 2 repeats its first step for each step
-    missing above it, and the leaf replays only the last of the repeats.
+    i) when ``prune`` says so.
     """
     trace = []
 
@@ -231,28 +237,22 @@ def walk_trace(walk, prune):
         trace.append((s, x, i))
         return not prune(s, x, i)
 
-    def leaf(x, i, y, j, z, k):
-        for s, x, i, then in ((3, x, i, j), (2, y, j, k), (1, z, k, None)):
-            if i != then and not place(s, x, i):
-                return
-
-    walk(place, leaf)
+    walk(place)
     return trace
 
 
 def scanning(parts):
-    """``row_scanning_walk``, which calls place at every step, taking a leaf it never calls."""
-    walk = row_scanning_walk(parts)
-    return lambda place, leaf: walk(lambda s, x, i, filled: place(s, x, i))
+    """``row_scanning_walk`` with the place of ``_fiber``'s walk, which gets no bits."""
+    return lambda place: row_scanning_walk(parts)(lambda s, x, i, filled: place(s, x, i))
 
 
 def test_the_corner_walk_makes_the_calls_of_the_row_scanning_walk():
     # the whole trace of steps, on full walks and on walks cut at about one
     # call in five, so pruned subtrees leave the rows as they found them;
-    # and cut at every call of step 3, or of step 2, which reach _fiber's
-    # walk through its leaf, so a false return still cuts below the steps
-    # read off the last three values, where the walks with n <= 3 start.
-    # The tall shapes have many rows to scan.
+    # and cut at every call of step 3, or of step 2, where the walks with
+    # n <= 3 start.  The walks with n <= 2 are compared step for step too.
+    # The tall shapes have many rows to scan, each scan up to the first
+    # empty row.
     def never(s, x, i):
         return False
 
@@ -386,14 +386,8 @@ def test_the_dag_shares_the_tableaux_left():
     assert len(seen) < 1000
 
 
-def test_a_walk_hands_each_element_to_one_leaf_call():
-    # with n >= 3, place sees only the steps s >= 4 and leaf every element
-    # once; a walk with n <= 2 still yields its one element, the identity
-    for parts in [(3, 1, 2, 4, 2), (1, 1, 1), (2, 1)]:
-        steps, leaves = [], []
-        _fiber(parts)(lambda s, x, i: steps.append(s) or True, lambda *a: leaves.append(a))
-        assert len(leaves) == cell_size(parts), parts
-        assert all(s >= 4 for s in steps), parts
+def test_a_cell_with_n_at_most_2_holds_the_identity_element_alone():
+    # a walk with n <= 2 has one element, the identity e, so w_J e = w_J
     for parts in [(1,), (2,), (1, 1)]:
         assert [e for e, _ in cell_elements(parts)] == [longest_parabolic_element(parts)], parts
         assert [decode(record, sum(parts))[:2] for record in zone_records(parts)] == [
@@ -426,7 +420,8 @@ compositions_to_60 = st.integers(1, 60).flatmap(
 @settings(deadline=None)
 @given(compositions_to_60)
 def test_the_block_rule_walks_as_the_tableau_of_rsk(parts):
-    # _fiber reads Q(w_J) off the blocks, the row-scanning walk from rsk;
+    # _fiber walks Q(w_J) as _q_rows reads it off the blocks, the
+    # row-scanning walk as rsk records it;
     # the first three steps of both walks, up to n = 60, where the full
     # traces above stop at n = 12
     n = sum(parts)
@@ -749,15 +744,17 @@ def test_zone_memory_follows_the_cell_not_n_cubed():
 
 
 def test_the_fiber_walk_keeps_no_state_per_shape():
-    # an accept-all walk holds its stack of filled bits and nothing per
-    # shape: with a corner list per shape, keyed by a mixed-radix shape id
-    # that grows to n bits on a column, these walks peaked at 17 KB and
-    # 442 KB on Python 3.11, against about 2 KB and 194 KB without
+    # a walk that goes below every step above the last three holds its
+    # stack of frames and nothing per shape: with a corner list per shape,
+    # keyed by a mixed-radix shape id that grows to n bits on a column,
+    # these walks peaked at 17 KB and 442 KB on Python 3.11, against about
+    # 2 KB and 194 KB without.  The walks are cut below step 4, since a
+    # walk to step 1 takes about 1.5 times as long under tracemalloc
     def peak(parts):
         walk = _fiber(parts)
         tracemalloc.start()
         try:
-            walk(lambda s, x, i: True, lambda x, i, y, j, z, k: None)
+            walk(lambda s, x, i: s > 4)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
