@@ -24,8 +24,8 @@ blocks of the composition.  The walk below a step depends on the tableau
 left alone, and the two searches revisit tableaux at very different
 rates, so they walk two ways.  A cell revisits a few tableaux very often:
 the 628,357 steps above the last three of the cell of (3,1,2,4,1,3,2)
-reach 514 tableaux.  So ``_tableaux`` builds the walk once per cell as a
-DAG of the tableaux left, each bumped once, and the cell walks the DAG,
+reach 514 tableaux.  So ``_tableaux`` builds the walk once per cell, a
+level at a time, as a DAG of the tableaux left, and the cell walks it,
 with every code entry made once per edge.  ``rim_search`` cuts its walks
 early and visits most tableaux once or twice: ``verify all --max-n 8``
 makes 16,743 steps over 5,724 tableaux.  It keeps the bump walk
@@ -43,9 +43,9 @@ only the values, a mark where w_J's word goes, and the word of e:
 ``cell_elements`` spells them as one character each and splits at the
 mark.  A cell past a record budget is walked once per band of lengths,
 each walk over a cut of the DAG that keeps only the edges with an
-element in its band; the lengths are counted off the DAG with no walk,
-so the records held stay within about the budget, however large the
-cell, for no walk more than the bands.
+element in its band; the lengths are counted, and the cuts made, a
+level at a time off the DAG, so the records held stay within about the
+budget, however large the cell, for no walk more than the bands.
 
 ``rim_search`` cuts every subtree whose elements a dual Knuth move shows
 to have an extension inside Z, and tests the leaves that survive exactly,
@@ -57,11 +57,10 @@ Q(w_J), by the hook-length formula.
 from __future__ import annotations
 
 import sys
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations
 from math import comb, factorial, prod
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -164,6 +163,25 @@ def _too_deep(n: int) -> SearchBoundExceeded:
         f"n={n} exceeds the depth that the recursive fiber walk can reach "
         f"under Python's recursion limit {sys.getrecursionlimit()}"
     )
+
+
+def _check_depth(n: int) -> int:
+    """
+    n, after refusing, before any work, a cell whose listing walk ``_zone``,
+    a frame per step, would run into Python's recursion limit.  A probe of
+    n + 5 frames leaves the walk a margin and refuses where ``rim`` does,
+    from (987,) under the default limit.
+    """
+    try:
+        _probe(n + 4)
+    except RecursionError:
+        raise _too_deep(n) from None
+    return n
+
+
+def _probe(s: int) -> None:  # s + 1 frames deep
+    if s:
+        _probe(s - 1)
 
 
 def _q_rows(parts: Composition) -> tuple[list[list[int]], list[int]]:
@@ -295,96 +313,80 @@ class _Node(list):
     2n + 2 + i, run, c, child) per corner in the order of ``_fiber``'s
     scan: the step s ejects the value x and writes the position i, whose
     code entry is c = c_i, into those slots of a ``_zone`` record, the last
-    with ``run``, the text of its run; ``child`` is the tableau left.  With
-    3 boxes, a leaf per element below: the slots and runs of the steps 3,
-    2 and 1, then the sum of their code entries.
-    ``_length_counts`` sets ``least`` and ``most``, the least and the
-    largest sum of the code entries from the node's step down.
+    with ``run``, the text of its run; ``child`` is the node of the tableau
+    left, one level below.  With 3 boxes, a leaf per element below: the
+    slots and runs of the steps 3, 2 and 1, then the sum of their code
+    entries.  ``_length_counts`` sets ``least`` and ``most``, the least and
+    the largest sum of the code entries from the node's step down.
     """
 
     __slots__ = ("least", "most")
 
 
-def _tableaux(parts: Composition, spelling: _Spelling = _Spelling()) -> _Node:
+def _tableaux(parts: Composition, spelling: _Spelling = _Spelling()) -> list[list[_Node]]:
     """
-    The walk of ``_fiber`` as a DAG of the tableaux left in its rows: the
-    root is Q(w_J), and a node is built on its first entry, by the bumps of
-    ``_fiber``, and shared by every later one.  Below a step, the walk
-    depends on the tableau left alone: the positions written are those of
-    the values ejected, so each code entry and its run, as ``spelling``
-    spells it, are read off it too.  The 628,357 steps above the last three
-    of the cell of (3,1,2,4,1,3,2), n = 16, reach 514 tableaux.
+    The walk of ``_fiber`` as a DAG of the tableaux left in its rows, built
+    a level, a box count, at a time: the root is Q(w_J), and level s - 1
+    holds the distinct tableaux one bump of ``_fiber`` leaves from those of
+    level s, each made once and keyed by the tuple of its rows, a row the
+    bits of its values; the keys of two levels are held at a time.  Below a
+    step, the walk depends on the tableau left alone: the positions written
+    are those of the values ejected, so each code entry and its run, as
+    ``spelling`` spells it, are read off it too.  The 628,357 steps above
+    the last three of the cell of (3,1,2,4,1,3,2), n = 16, reach 514
+    tableaux.
 
-    A tableau's key is one bytes, two per box of Q(w_J): each row keeps a
-    view of its slots, which every bump and undo writes as it writes the
-    row, so a key is one copy, with no walk over the rows and no int made
-    per row of a tall shape.  The tableaux of 2 boxes or fewer are built
-    as plain lists of edges, and a node of 3 boxes lists every path
-    through them.  A walk with n <= 2 has one element, the identity, whose
-    step s writes position s - 1: its root lists the path with its top
-    step repeated for each step missing above it.  A repeat's writes are
-    overwritten by the step it repeats, and its code entry, at the root,
-    is 0.  A build that runs into Python's recursion limit is refused with
-    SearchBoundExceeded, before anything is walked.
+    The levels are returned from the leaves up, the root alone in the last:
+    the nodes of 3 boxes, each listing every path through the tableaux
+    below it, then those of 4, 5, ..., n boxes.  A walk with n <= 2 has
+    one element, the identity; its root is its level of leaves, and each
+    path opens with 3 - n steps that write only slot 0, the key, which a
+    leaf writes last.
     """
     n = sum(parts)
     rows, slot = _q_rows(parts)
-    # a slot per box of Q(w_J), holding n once the box is ejected
-    boxes = array("H", chain.from_iterable(rows))
-    ends = accumulate(map(len, rows))
-    views = [memoryview(boxes)[end - len(row):end] for row, end in zip(rows, ends)]
-    # each row, the row below it, its view, and where its rows above start in
-    # rising and pairs, made once: enumerate would make an int per row of a
-    # tall shape per step
-    pairs = list(zip(rows, views))
-    rising = pairs[::-1]
-    table = list(zip(rows, rows[1:] + [[]], views, range(len(rows), 0, -1), range(len(rows))))
-    left = [(1 << i) - 1 for i in range(n)]
+    bit = [1 << x for x in range(n)]
+    left = [b - 1 for b in bit]  # the values below x, or the positions left of i
     runs: dict[int, str] = {}  # the run of c_i = c, under n * i + c
     v, w = n + 1, 2 * n + 2
-    built: dict[bytes, list] = {}
-
-    def expand(s: int, filled: int) -> list:
-        edges = []
-        for row, lower, view, t, r in table:
-            if len(row) > len(lower):
-                x = row.pop()
-                view[len(row)] = n
-                for up, mirror in rising[t:]:
-                    j = bisect_left(up, x) - 1
-                    up[j], x = x, up[j]
-                    mirror[j] = up[j]
-                i = slot[x]
-                key = boxes.tobytes()
-                child = built.get(key)
-                if child is None:
-                    child = built[key] = expand(s - 1, filled | 1 << i)
-                c = (filled & left[i]).bit_count()
-                run = runs.get(n * i + c)
-                if run is None:
-                    run = runs[n * i + c] = spelling.run(range(i, i - c, -1))
-                edges.append((1 + i, v + x, w + i, run, c, child))
-                for up, mirror in pairs[:r]:
-                    j = bisect_left(up, x)
-                    up[j], x = x, up[j]
-                    mirror[j] = up[j]
-                view[len(row)] = x
-                row.append(x)
-            elif not row:  # nor is any row below
-                break
-        if s > 3:
-            return _Node(edges)
-        return _Node(_paths(edges)) if s == 3 else edges
-
-    try:
-        root = expand(n, 0)
-    except RecursionError:
-        raise _too_deep(n) from None
-    finally:
-        del expand  # its closure holds it, and the keys, until a cyclic collection
-    if n < 3:
-        return _Node(path[:4] * (3 - n) + path for path in _paths(root))
-    return root
+    levels = [[_Node()]]
+    # each tableau of a level, as the tuple of its nonempty rows, a row as the
+    # bits of its values: its node, and the bits of the positions written above it
+    level = {tuple(sum(bit[x] for x in row) for row in rows): (levels[0][0], 0)}
+    for _ in range(n):
+        below: dict[tuple[int, ...], tuple[_Node, int]] = {}
+        for tableau, (node, filled) in level.items():
+            for r, (row, lower) in enumerate(zip(tableau, tableau[1:] + (0,))):
+                if row.bit_count() > lower.bit_count():
+                    x = row.bit_length() - 1
+                    child = list(tableau)
+                    if row & row - 1:
+                        child[r] = row ^ bit[x]
+                    else:  # the last row, which empties
+                        del child[r]
+                    # each row above takes x for its largest value below x, which moves up
+                    for u in range(r - 1, -1, -1):
+                        up = child[u]
+                        y = (up & left[x]).bit_length() - 1
+                        child[u] = up ^ bit[y] | bit[x]
+                        x = y
+                    i = slot[x]
+                    key = tuple(child)
+                    got = below.get(key)
+                    if got is None:
+                        got = below[key] = _Node(), filled | bit[i]
+                    c = (filled & left[i]).bit_count()
+                    run = runs.get(n * i + c)
+                    if run is None:
+                        run = runs[n * i + c] = spelling.run(range(i, i - c, -1))
+                    node.append((1 + i, v + x, w + i, run, c, got[0]))
+        levels.append([node for node, _ in below.values()])
+        level = below
+    top = min(n, 3)
+    pad = (0, 0, 0, "") * (3 - top)
+    for node in levels[n - top]:
+        node[:] = [pad + path for path in _paths(node)]
+    return levels[n - top :: -1]
 
 
 def _paths(edges: list, above: int = 0) -> list[tuple]:
@@ -453,74 +455,71 @@ def _zone(root: _Node, n: int, spelling: _Spelling = _Spelling()) -> list[str]:
     return zone
 
 
-def _band(root: _Node, n: int, lo: int, hi: int) -> _Node:
+def _band(levels: list[list[_Node]], lo: int, hi: int) -> _Node:
     """
-    The DAG below ``root`` cut to the elements e with lo <= l(e) <= hi,
-    after ``_length_counts`` has set the nodes' bounds.  A node reached
-    with code entries summing to ``above`` keeps an edge with code entry c
-    whole when above + c plus the child's least and largest sums lie in
-    the band, and over the child's cut when they meet it and the cut keeps
-    something; a 3-box node keeps the leaves whose lengths lie in the
-    band.  Each pair of a node and a sum above it is cut once.
+    The root of the DAG of ``levels`` cut to the elements e with lo <= l(e)
+    <= hi, once ``_length_counts`` has set the nodes' bounds: from the root
+    down, a node reached with code entries summing to ``above`` keeps an
+    edge with code entry c whole when above + c plus the child's least and
+    largest sums lie in the band, and over the child's cut, made once per
+    child and sum, when they meet it; a 3-box node keeps the leaves whose
+    lengths lie in the band.  The steps below a tableau run over its Knuth
+    class, joined by Knuth moves that each swap two values s and s+1 of e
+    and so change l(e) by one: their sums have no gaps, and a cut keeps
+    something.
     """
-    cuts: dict[tuple[int, int], _Node] = {}
-
-    def cut(node: _Node, s: int, above: int) -> _Node:
-        key = id(node), above
-        kept = cuts.get(key)
-        if kept is None:
-            kept = cuts[key] = _Node()
-            if s > 3:
-                for edge in node:
-                    ei, vx, wi, run, c, child = edge
-                    at = above + c
-                    if lo <= at + child.least and at + child.most <= hi:
-                        kept.append(edge)
-                    elif at + child.least <= hi and lo <= at + child.most:
-                        below = cut(child, s - 1, at)
-                        if below:
-                            kept.append((ei, vx, wi, run, c, below))
-            else:
-                kept.extend(leaf for leaf in node if lo <= above + leaf[-1] <= hi)
-        return kept
-
-    band = cut(root, max(n, 3), 0)
-    del cut  # its closure holds it, and every copy, until a cyclic collection
-    return band
+    root = _Node()
+    # the cuts of a level, under their node's id and sum: node, sum and cut
+    cuts = {(id(levels[-1][0]), 0): (levels[-1][0], 0, root)}
+    for _ in levels[1:]:  # from the root down to the nodes of 4 boxes
+        below: dict[tuple[int, int], tuple[_Node, int, _Node]] = {}
+        for node, above, kept in cuts.values():
+            for edge in node:
+                ei, vx, wi, run, c, child = edge
+                at = above + c
+                if lo <= at + child.least and at + child.most <= hi:
+                    kept.append(edge)
+                elif at + child.least <= hi and lo <= at + child.most:
+                    got = below.get((id(child), at))
+                    if got is None:
+                        got = below[id(child), at] = child, at, _Node()
+                    kept.append((ei, vx, wi, run, c, got[2]))
+        cuts = below
+    for node, above, kept in cuts.values():
+        kept.extend(leaf for leaf in node if lo <= above + leaf[-1] <= hi)
+    return root
 
 
-def _length_counts(root: _Node, n: int) -> list[int]:
+def _length_counts(levels: list[list[_Node]], n: int) -> list[int]:
     """
     How many elements e of Z have each length l(e) = 0, 1, ..., n(n-1)/2,
-    by dynamic programming over the DAG of ``_tableaux``, with no walk: the
-    sums of the code entries below a node are those below each child,
-    moved up by the edge's code entry, or the leaves' own.  Each node is
-    counted once and gets its ``least`` and ``most`` sum, the bounds
-    ``_band`` cuts by.
+    by dynamic programming over the levels of ``_tableaux`` from the leaves
+    up, with no walk: the sums of the code entries below a node are those
+    below each child, moved up by the edge's code entry, or the leaves'
+    own.  Each node is counted once and gets its ``least`` and ``most``
+    sum, the bounds ``_band`` cuts by; the sums of two levels are held at a
+    time.
     """
-    counted: dict[int, list[int]] = {}
-
-    def count(node: _Node, s: int) -> list[int]:
-        # sums[m]: the elements below whose code entries from step s down sum to m
-        sums = counted.get(id(node))
-        if sums is None:
+    below: dict[int, list[int]] = {}
+    for k, level in enumerate(levels):
+        # sums[m]: the elements below a node whose code entries from its step down sum to m
+        counted: dict[int, list[int]] = {}
+        for node in level:
             sums = counted[id(node)] = []
-            if s > 3:
+            if k:
                 for *_, c, child in node:
-                    below = count(child, s - 1)
-                    sums.extend([0] * (c + len(below) - len(sums)))
-                    for m, k in enumerate(below, c):
-                        sums[m] += k
+                    added = below[id(child)]
+                    sums.extend([0] * (c + len(added) - len(sums)))
+                    for m, count in enumerate(added, c):
+                        sums[m] += count
             else:
                 for *_, m in node:
                     sums.extend([0] * (m + 1 - len(sums)))
                     sums[m] += 1
-            node.least = next(m for m, k in enumerate(sums) if k)
+            node.least = next(m for m, count in enumerate(sums) if count)
             node.most = len(sums) - 1
-        return sums
-
-    lengths = count(root, max(n, 3))
-    del count  # its closure holds it, and every node's sums, until a cyclic collection
+        below = counted
+    lengths = below[id(levels[-1][0])]
     return lengths + [0] * (comb(n, 2) + 1 - len(lengths))
 
 
@@ -567,24 +566,24 @@ def _cell(
     is read.  The checks, the DAG, and the one walk or the count, are made
     at the call.
     """
-    n = _check_record_range(check_search_bound(sum(parts), bound))
+    n = _check_depth(_check_record_range(check_search_bound(sum(parts), bound)))
     spelling = _Spelling(number, value_sep, word_sep)
     starts = accumulate(parts, initial=0)
     head = "".join(
         spelling.run(range(i, a, -1)) for a, p in zip(starts, parts) for i in range(a + 1, a + p)
     )[len(word_sep):]
     cut = itemgetter(slice(n + 1 + len(value_sep), None))
-    root = _tableaux(parts, spelling)
+    levels = _tableaux(parts, spelling)
     if cell_size(parts) <= _RECORD_BUDGET:
-        zone = _zone(root, n, spelling)
+        zone = _zone(levels[-1][0], n, spelling)
         zone.sort()  # by (l(e), e); e never repeats, so nothing further is compared
         return head, map(cut, zone)
-    bands = _bands(_length_counts(root, n), _RECORD_BUDGET)
-    return head, _banded(root, n, spelling, bands, cut)
+    bands = _bands(_length_counts(levels, n), _RECORD_BUDGET)
+    return head, _banded(levels, n, spelling, bands, cut)
 
 
 def _banded(
-    root: _Node,
+    levels: list[list[_Node]],
     n: int,
     spelling: _Spelling,
     bands: list[tuple[int, int]],
@@ -592,7 +591,7 @@ def _banded(
 ) -> Iterator[str]:
     """The cut records of each band in turn, sorted; one band is held at a time."""
     for lo, hi in bands:
-        zone = _zone(_band(root, n, lo, hi), n, spelling)
+        zone = _zone(_band(levels, lo, hi), n, spelling)
         zone.sort()
         yield from map(cut, zone)
         del zone  # before the next band's walk

@@ -43,7 +43,7 @@ def decode(record: str, n: int) -> tuple[int, Perm, Perm, tuple[int, ...]]:
 
 def zone_records(parts) -> list[str]:
     """The records of ``rims._zone`` for the whole cell, in walk order."""
-    return _zone(_tableaux(parts), sum(parts))
+    return _zone(_tableaux(parts)[-1][0], sum(parts))
 
 
 def count_walks(monkeypatch) -> list[int]:
@@ -204,8 +204,9 @@ def row_scanning_walk(parts):
     ``place(s, x, i, filled)`` at every step, in the order ``_fiber``'s
     walk makes its steps, with the bits of the positions written before
     step s; the reference for the tableau ``rims._q_rows`` reads off the
-    blocks, for ``_fiber``'s walk of it, and for the edges and leaves of
-    the DAG of ``rims._tableaux``.
+    blocks, for ``_fiber``'s walk of it, and for the levels, edges and
+    leaves of the DAG of ``rims._tableaux``.  ``walk.rows`` holds the rows,
+    emptied rows included, so a place call can read the tableau left.
     """
     w_j = longest_parabolic_element(parts)
     rows = [[x - 1 for x in row] for row in rsk(w_j)[1]]
@@ -234,6 +235,7 @@ def row_scanning_walk(parts):
 
         remove(sum(parts), 0)
 
+    walk.rows = rows
     return walk
 
 

@@ -512,6 +512,23 @@ def test_a_walk_past_the_recursion_limit_is_refused(argv, capsys):
     assert err.count("\n") == 1
 
 
+def test_a_banded_cell_past_the_recursion_limit_is_refused_before_any_band(monkeypatch, capsys):
+    # 605,550 elements past a budget of 1,000: the listing walk of every band
+    # recurses once per step, so the cell is refused before any is walked
+    monkeypatch.setattr(rims, "_RECORD_BUDGET", 1000)
+    walks = count_walks(monkeypatch)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # Python's default, whatever ran before
+    try:
+        assert run(["cell", "--composition", "1,1100,1", "--max-n", "2000"]) == (2, "")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert walks == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=1102 exceeds the depth ")
+    assert err.count("\n") == 1
+
+
 def test_a_cell_past_the_record_character_range_is_refused(capsys):
     # a cell record holds the code entry c_i as the character i(i+1)/2 + c_i,
     # which passes U+10FFFF from n = 1493 on, whatever the recursion limit

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import tracemalloc
 from collections import Counter
 from functools import cached_property
@@ -287,20 +288,22 @@ def dag_walk(parts, spelling=_Spelling()):
     with x, i and j read off the slots of its value, its entry and its
     run: each edge, then each leaf as its steps 3, 2 and 1, whose c is
     None, since a leaf holds only their sum; the texts of their runs; and
-    the sums of the leaves, in walk order.  The root of a walk with n <= 2
-    repeats its top step for each step missing above it; only the last of
-    the repeats is kept.
+    the sums of the leaves, in walk order.  A walk with n <= 2 opens its
+    leaf with a step for each step missing above it, which writes only the
+    key's slot; those are dropped.
     """
     n = sum(parts)
     v, w = n + 1, 2 * n + 2
     steps, runs, sums = [], [], []
+    levels = _tableaux(parts, spelling)
 
-    def visit(node, s):
-        if s > 3:
+    def visit(node, k):
+        # a node of level k holds k + 3 boxes, or is the root of n <= 3
+        if k:
             for ei, vx, wi, run, c, child in node:
-                steps.append((s, vx - v, ei - 1, wi - w, c))
+                steps.append((k + 3, vx - v, ei - 1, wi - w, c))
                 runs.append(run)
-                visit(child, s - 1)
+                visit(child, k - 1)
             return
         for ei, vx, wi, ri, ej, vy, wj, rj, ek, vz, wk, rk, total in node:
             steps.append((3, vx - v, ei - 1, wi - w, None))
@@ -309,7 +312,7 @@ def dag_walk(parts, spelling=_Spelling()):
             runs.extend((ri, rj, rk))
             sums.append(total)
 
-    visit(_tableaux(parts, spelling), max(n, 3))
+    visit(levels[-1][0], len(levels) - 1)
     del steps[: max(3 - n, 0)], runs[: max(3 - n, 0)]
     return steps, runs, sums
 
@@ -371,19 +374,23 @@ def test_the_dag_spells_each_run_as_the_row_scanning_walk_counts_it():
 
 
 def test_the_dag_shares_the_tableaux_left():
-    # the 628,357 steps above the last three of this n = 16 walk reach 514
-    # tableaux below the root; a DAG that shared none would hold a node each
-    seen = set()
+    # each level holds the distinct tableaux the oracle leaves at that step,
+    # each once; the 628,357 steps above the last three of the n = 16 walk
+    # reach 514 tableaux below the root
+    for parts in chain(*map(compositions_of, range(1, 11))):
+        n = sum(parts)
+        walk = row_scanning_walk(parts)
+        left = [set() for _ in range(n + 1)]
+        left[n].add(None)  # the root
 
-    def gather(node, s):
-        if id(node) not in seen:
-            seen.add(id(node))
-            if s > 3:
-                for *_, child in node:
-                    gather(child, s - 1)
+        def place(s, x, i, filled):
+            left[s - 1].add(tuple(map(tuple, walk.rows)))
+            return True
 
-    gather(_tableaux((3, 1, 2, 4, 1, 3, 2)), 16)
-    assert len(seen) < 1000
+        walk(place)
+        sizes = [len(level) for level in _tableaux(parts)]
+        assert sizes == [len(tableaux) for tableaux in left[min(n, 3) :]], parts
+    assert sum(map(len, _tableaux((3, 1, 2, 4, 1, 3, 2))[:-1])) == 514
 
 
 def test_a_cell_with_n_at_most_2_holds_the_identity_element_alone():
@@ -781,9 +788,9 @@ def test_a_one_element_cell_at_n_900_peaks_no_higher_than_with_tuple_records():
     # tuple and the line, each its own ints, it peaked at 13.6 MB; read as
     # one text of characters, with one shared int per generator, at 8.0 MB,
     # the bump tables of the 900-row column, each row with the rows above
-    # it twice over, being the largest part.  The DAG holds a key of two
-    # bytes a box per tableau, about 1.6 MB here, and peaks at about 4.5 MB;
-    # keys of nested tuples would hold a tuple per row per tableau
+    # it twice over, being the largest part.  It now peaks at 4.4 MB, at
+    # the word's tuple of ints; the DAG's level build, which holds the keys
+    # of two levels at a time, peaks at 0.7 MB (Python 3.11)
     tracemalloc.start()
     try:
         assert len(list(cell_elements((900,), 2000))) == 1
@@ -815,19 +822,44 @@ def test_cell_elements_at_n_14_are_pinned_when_read_in_bands(monkeypatch):
     assert digest == CELL_ELEMENTS_14_DIGEST
 
 
+def empty_cuts(node, k):
+    """How many edges below ``node``, of level k of a DAG or of a cut, lead to an empty node."""
+    return k and sum(not child or empty_cuts(child, k - 1) for *_, child in node)
+
+
 def test_a_band_walk_keeps_exactly_the_elements_of_its_lengths():
     # the cuts are bounds on l(e) below each step; a bound that is off
-    # by one drops elements or keeps some outside the band
+    # by one drops elements or keeps some outside the band.  The lengths
+    # below a node have no gaps, so every cut an edge leads to keeps some
     for n in range(1, 8):
         for parts in compositions_of(n):
-            root = _tableaux(parts)
-            _length_counts(root, n)  # sets the bounds the cuts read
-            full = sorted(_zone(root, n))
+            levels = _tableaux(parts)
+            _length_counts(levels, n)  # sets the bounds the cuts read
+            full = sorted(_zone(levels[-1][0], n))
             top = max(ord(record[0]) for record in full)
             for lo in range(top + 2):
                 for hi in (lo, lo + 2):
-                    band = sorted(_zone(_band(root, n, lo, hi), n))
+                    cut = _band(levels, lo, hi)
+                    band = sorted(_zone(cut, n))
                     assert band == [r for r in full if lo <= ord(r[0]) <= hi], (parts, lo, hi)
+                    assert empty_cuts(cut, len(levels) - 1) == 0, (parts, lo, hi)
+
+
+def test_the_dag_is_built_counted_and_cut_without_recursion():
+    # a level at a time, so a tall shape needs no frame per step; only the
+    # listing walk of _zone recurses, and it runs with the limit restored
+    parts, n = (1, 300, 1), 302
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        levels = _tableaux(parts)
+        counts = _length_counts(levels, n)
+        band = _band(levels, 150, 210)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sum(counts) == cell_size(parts) == 45150
+    lengths = Counter(ord(record[0]) for record in _zone(band, n))
+    assert lengths == {m: counts[m] for m in range(150, 211)}
 
 
 def test_bands_hold_at_most_the_budget_but_for_a_single_length():
@@ -863,6 +895,10 @@ def test_the_peak_of_a_cell_follows_the_budget_not_the_cell(monkeypatch):
 
     n12, n14 = (1, 3, 2, 1, 3, 2), (2, 1, 3, 1, 2, 3, 2)
     assert (cell_size(n12), cell_size(n14)) == (2673, 14014)
+    # a first walk of each side, discarded: it fills the free lists of
+    # tuples and lists that tracemalloc does not count when reused, so the
+    # ratio does not depend on what ran before this test
+    peak(n14, 2000), peak(n12, 2000)
     held = peak(n14, 2000)
     # five times the cell, about the same peak
     assert held < 1.5 * peak(n12, 2000)
